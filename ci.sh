@@ -122,17 +122,14 @@ net_smoke() {
     rm -rf "$out"
 }
 
-# The shard load generator is the sharded-serving smoke test: it runs
-# scatter-gather clusters at 1/2/4 shards × 2 replicas behind the
-# router, then replaces every replica one at a time under live load and
-# *asserts* the rollout invariant (zero client-visible sheds, balanced
-# router hop + cluster ledgers, cross-hop rollup matching the shard
-# servers' accepted totals).
-shard_smoke() {
-    local out
-    out=$(mktemp -d)
-    (cd "$out" && timeout 180 "$OLDPWD/target/release/shardload")
-    rm -rf "$out"
+# The rollout is the replicated-serving smoke test: it serves one
+# engine from two replicas, restarts each of them under live load from
+# four clients that hold both addresses, and *asserts* the rollout
+# invariant (zero client-visible sheds or errors, every request
+# answered Ok, balanced live and retired ledgers).
+rollout_smoke() {
+    timeout 120 target/release/apex-cli --dataset play --size 5 \
+        rollout --replicas 2 --requests 400 --clients 4
 }
 
 run cargo build --release --offline --workspace
@@ -140,7 +137,7 @@ run cargo test --offline --workspace --quiet
 run kernel_smoke
 run plan_smoke
 run net_smoke
-run shard_smoke
+run rollout_smoke
 run recovery_smoke
 run stress
 run cargo clippy --offline --workspace --all-targets -- "${CLIPPY_EXTRA[@]}" -D warnings

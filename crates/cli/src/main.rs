@@ -25,15 +25,14 @@
 //! `--queue-cap` and `--deadline-ms` tune the admission control. Type
 //! `stop` (or EOF / `stats`) on stdin to drain gracefully / inspect.
 //!
-//! `rollout` demonstrates the sharded serving tier end to end: it
-//! partitions the loaded graph over `--shards` shards × `--replicas`
-//! replicas ([`apex_shard::ShardCluster`]), fronts them with a
-//! scatter-gather [`apex_shard::Router`], drives `--requests` queries
-//! from `--clients` concurrent clients, and — while that traffic is in
-//! flight — drains, replaces and readmits every replica one at a time
-//! ([`apex_shard::rolling_swap`]). It exits non-zero if any client saw
-//! a shed response or any accounting ledger failed to balance: the
-//! zero-downtime rollout invariant, checked from the outside.
+//! `rollout` demonstrates replicated serving end to end: it starts
+//! `--replicas` listeners over one engine, drives `--requests` queries
+//! from `--clients` concurrent clients that each hold the whole
+//! address list, and — while that traffic is in flight — restarts the
+//! replicas one at a time ([`apex_net::Server::restart`]). It exits
+//! non-zero if any client saw a shed response or an error, or any
+//! accounting ledger failed to balance: the zero-downtime rollout
+//! invariant, checked from the outside.
 //!
 //! Commands inside the shell:
 //!
@@ -122,7 +121,7 @@ fn main() {
                 "usage: apex-cli --file <xml> | --dataset <Table1-name|play|flix|ged> \
                  [--size N] [--buffer-pages N] [--refresh-every N] [--wal-dir <dir>] \
                  [listen <addr> [--workers N] [--queue-cap N] [--deadline-ms N]] \
-                 [rollout [--shards N] [--replicas N] [--requests N] [--clients N]]"
+                 [rollout [--replicas N] [--requests N] [--clients N]]"
             );
             std::process::exit(2);
         }
@@ -611,19 +610,26 @@ fn server_conn_lines(server: &apex_net::Server) -> Vec<String> {
 
 /// `rollout` subcommand configuration.
 struct RolloutConfig {
-    shards: u16,
     replicas: usize,
     requests: usize,
     clients: usize,
 }
 
-/// Runs the sharded serving tier under live load and performs a full
-/// rolling replica swap, asserting the zero-downtime invariant from a
-/// client's point of view. Exits non-zero on any client-visible shed
-/// or accounting imbalance.
+/// Serves the loaded graph from a replica pool under live load and
+/// restarts every replica at least once while the clients run,
+/// asserting the zero-downtime invariant from a client's point of
+/// view. Exits non-zero on any client-visible shed or error, or any
+/// accounting imbalance.
 fn rollout(g: Arc<XmlGraph>, cfg: &RolloutConfig) {
-    use apex_net::RetryPolicy;
-    use apex_shard::{rolling_swap, ClusterConfig, Router, RouterConfig, ShardCluster, ShardMap};
+    use apex_net::{Client, NetStats, RetryPolicy, Server, ServerConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn add(total: &mut NetStats, s: &NetStats) {
+        total.accepted += s.accepted;
+        total.served += s.served;
+        total.shed += s.shed;
+        total.timed_out += s.timed_out;
+    }
 
     // A dataset-independent workload: single-label partial-path queries
     // over the first few element labels of whatever graph was loaded.
@@ -639,138 +645,178 @@ fn rollout(g: Arc<XmlGraph>, cfg: &RolloutConfig) {
         eprintln!("error: the loaded graph has no element labels to query");
         std::process::exit(1);
     }
-    let map = ShardMap::new(cfg.shards);
-    let cluster_cfg = ClusterConfig {
-        replicas: cfg.replicas,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = match ShardCluster::start(Arc::clone(&g), map, cluster_cfg) {
-        Ok(c) => c,
+    let table = Arc::new(DataTable::build(&g, PageModel::default()));
+    let cell = Arc::new(IndexCell::new(Apex::build_initial(&g)));
+    let monitor = Arc::new(Mutex::new(WorkloadMonitor::new(
+        256,
+        0.3,
+        RefreshPolicy::EveryN(50),
+    )));
+    let refresher = match Refresher::spawn(Arc::clone(&g), Arc::clone(&cell), Arc::clone(&monitor))
+    {
+        Ok(r) => Arc::new(r),
         Err(e) => {
-            eprintln!("error: cannot start cluster: {e}");
+            eprintln!("error: cannot spawn refresher: {e}");
             std::process::exit(1);
         }
     };
-    let mut router = match Router::start(
-        map,
-        &cluster.addrs(),
-        RouterConfig::default(),
-        "127.0.0.1:0",
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot start router: {e}");
-            std::process::exit(1);
+    let engine = apex_net::Engine::new(Arc::clone(&g), table, Arc::clone(&cell), monitor)
+        .with_refresher(Arc::clone(&refresher));
+    let mut servers = Vec::with_capacity(cfg.replicas);
+    for _ in 0..cfg.replicas {
+        match Server::start(engine.clone(), ServerConfig::default(), "127.0.0.1:0") {
+            Ok(s) => servers.push(s),
+            Err(e) => {
+                eprintln!("error: cannot start replica: {e}");
+                std::process::exit(1);
+            }
         }
-    };
+    }
+    drop(engine);
+    let addrs: Vec<std::net::SocketAddr> = servers.iter().map(|s| s.local_addr()).collect();
     println!(
-        "rollout: {} shard(s) × {} replica(s) behind {} | {} request(s) over {} client(s)",
-        cfg.shards,
-        cfg.replicas,
-        router.local_addr(),
-        cfg.requests,
-        cfg.clients
+        "rollout: {} replica(s) at {:?} | {} request(s) over {} client(s)",
+        cfg.replicas, addrs, cfg.requests, cfg.clients
     );
     println!("workload: {}", queries.join(" "));
 
-    let addr = router.local_addr();
-    let per_client = cfg.requests.div_ceil(cfg.clients.max(1));
+    let clients = cfg.clients.max(1);
+    let per_client = cfg.requests.div_ceil(clients);
     let policy = RetryPolicy::default();
-    let mut ok = 0u64;
-    let mut sheds = 0u64;
-    let mut errors = 0u64;
-    let mut report = None;
+    let (mut ok, mut sheds, mut errors) = (0u64, 0u64, 0u64);
+    let (mut retried, mut reconnects) = (0u64, 0u64);
+    let mut retired = NetStats::default();
+    let (mut restarted, mut in_flight) = (0usize, 0usize);
+    let mut restart_errors = 0usize;
+    let mut unbalanced = 0usize;
+    let progress: Vec<AtomicUsize> = (0..clients).map(|_| AtomicUsize::new(0)).collect();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.clients.max(1));
-        for c in 0..cfg.clients.max(1) {
-            let queries = &queries;
-            let policy = &policy;
-            handles.push(scope.spawn(move || {
-                let (mut ok, mut sheds, mut errors) = (0u64, 0u64, 0u64);
-                let mut client = match apex_net::Client::connect(addr) {
-                    Ok(cl) => cl,
-                    Err(_) => return (0, 0, per_client as u64),
-                };
-                for i in 0..per_client {
-                    let q = &queries[(c + i) % queries.len()];
-                    match client.call_retrying(q, 0, policy) {
-                        Ok(resp) if resp.status.is_shed() => sheds += 1,
-                        Ok(_) => ok += 1,
-                        Err(_) => errors += 1,
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let (queries, policy, addrs) = (&queries, &policy, &addrs);
+                let done = &progress[c];
+                scope.spawn(move || {
+                    let (mut ok, mut sheds, mut errors) = (0u64, 0u64, 0u64);
+                    // Rotating the peer list spreads clients over replicas.
+                    let mut peers = addrs.clone();
+                    peers.rotate_left(c % addrs.len());
+                    let mut client = match Client::connect(&peers[..]) {
+                        Ok(cl) => cl,
+                        Err(_) => return (0, 0, per_client as u64, Default::default()),
+                    };
+                    for i in 0..per_client {
+                        let q = &queries[(c + i) % queries.len()];
+                        match client.call_retrying(q, 0, policy) {
+                            Ok(resp) if resp.status.is_shed() => sheds += 1,
+                            Ok(_) => ok += 1,
+                            Err(_) => errors += 1,
+                        }
+                        done.fetch_add(1, Ordering::Relaxed);
                     }
+                    (ok, sheds, errors, client.stats())
+                })
+            })
+            .collect();
+        let finished = || handles.iter().all(|h| h.is_finished());
+        let poll = || std::thread::sleep(std::time::Duration::from_micros(200));
+        let n = servers.len();
+        for (k, server) in servers.iter_mut().enumerate() {
+            // Spread the restarts evenly over the run.
+            let due = (k + 1) * per_client * clients / (n + 1);
+            while progress
+                .iter()
+                .map(|p| p.load(Ordering::Relaxed))
+                .sum::<usize>()
+                < due
+                && !finished()
+            {
+                poll();
+            }
+            in_flight += usize::from(!finished());
+            let before: Vec<usize> = progress.iter().map(|p| p.load(Ordering::Relaxed)).collect();
+            match server.restart() {
+                Ok(stats) => {
+                    restarted += 1;
+                    unbalanced += usize::from(!stats.balanced());
+                    add(&mut retired, &stats);
                 }
-                (ok, sheds, errors)
-            }));
+                Err(e) => {
+                    eprintln!("error: replica restart failed: {e}");
+                    restart_errors += 1;
+                    break;
+                }
+            }
+            // Every call this restart interrupted completes before the
+            // next restart begins, so no call meets two restarts.
+            while (0..clients).any(|c| {
+                progress[c].load(Ordering::Relaxed) == before[c] && !handles[c].is_finished()
+            }) {
+                poll();
+            }
         }
-        // Let the clients ramp, then replace every replica under load.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        report = Some(rolling_swap(&mut cluster, &router));
         for h in handles {
             match h.join() {
-                Ok((o, s, e)) => {
+                Ok((o, s, e, st)) => {
                     ok += o;
                     sheds += s;
                     errors += e;
+                    retried += st.retried_sheds;
+                    reconnects += st.reconnects;
                 }
                 Err(_) => errors += 1,
             }
         }
     });
-    let swap_failed = match report {
-        Some(Ok(rep)) => {
-            println!(
-                "rolled out: {} replica(s) swapped, {} drain shed(s) absorbed by siblings",
-                rep.swapped, rep.drained_sheds
-            );
-            false
-        }
-        Some(Err(e)) => {
-            eprintln!("error: rolling swap failed: {e}");
-            true
-        }
-        None => true,
-    };
-    let stats = router.drain();
-    println!("clients: {ok} ok, {sheds} shed, {errors} error(s)");
-    println!("router: {stats}");
-    println!("pinned generations: {:?}", router.pinned_generations());
-    drop(router);
-    let cluster_stats = cluster.shutdown();
-    println!("cluster: {}", cluster_stats.net_total());
-    let clean =
-        !swap_failed && sheds == 0 && errors == 0 && stats.balanced() && cluster_stats.balanced();
+    let mut live = NetStats::default();
+    for server in &mut servers {
+        let stats = server.drain();
+        unbalanced += usize::from(!stats.balanced());
+        add(&mut live, &stats);
+    }
+    drop(servers); // releases the engines' refresher handles
+    match Arc::try_unwrap(refresher) {
+        Ok(r) => drop(r.shutdown()),
+        Err(shared) => shared.begin_shutdown(),
+    }
+    println!(
+        "restarts: {restarted} ({in_flight} under traffic) | generation {} published",
+        cell.generation()
+    );
+    println!("clients: {ok} ok, {sheds} shed, {errors} error(s) | {retried} shed(s) retried, {reconnects} re-dial(s)");
+    println!(
+        "retired listeners: accepted {} served {} shed {} timed-out {}",
+        retired.accepted, retired.served, retired.shed, retired.timed_out
+    );
+    println!(
+        "live listeners:    accepted {} served {} shed {} timed-out {}",
+        live.accepted, live.served, live.shed, live.timed_out
+    );
+    let issued = (per_client * clients) as u64;
+    let clean = restart_errors == 0 && unbalanced == 0 && sheds == 0 && errors == 0 && ok == issued;
     if clean {
         println!("rollout clean: zero client-visible sheds, all ledgers balanced");
     } else {
         eprintln!(
-            "rollout FAILED: sheds={sheds} errors={errors} router_balanced={} cluster_balanced={}",
-            stats.balanced(),
-            cluster_stats.balanced()
+            "rollout FAILED: sheds={sheds} errors={errors} ok={ok}/{issued} \
+             unbalanced_ledgers={unbalanced} failed_restarts={restart_errors}"
         );
         std::process::exit(1);
     }
 }
 
-/// Extracts `rollout` plus its tuning flags (`--shards N`,
-/// `--replicas N`, `--requests N`, `--clients N`) from `args`,
-/// removing them.
+/// Extracts `rollout` plus its tuning flags (`--replicas N`,
+/// `--requests N`, `--clients N`) from `args`, removing them.
 fn take_rollout(args: &mut Vec<String>) -> Result<Option<RolloutConfig>, String> {
     let Some(i) = args.iter().position(|a| a == "rollout") else {
         return Ok(None);
     };
     args.remove(i);
     let mut cfg = RolloutConfig {
-        shards: 3,
         replicas: 2,
         requests: 200,
         clients: 4,
     };
-    for (flag, field) in [
-        ("--shards", 0usize),
-        ("--replicas", 1),
-        ("--requests", 2),
-        ("--clients", 3),
-    ] {
+    for (flag, field) in [("--replicas", 0usize), ("--requests", 1), ("--clients", 2)] {
         let Some(j) = args.iter().position(|a| a == flag) else {
             continue;
         };
@@ -784,17 +830,14 @@ fn take_rollout(args: &mut Vec<String>) -> Result<Option<RolloutConfig>, String>
             return Err(format!("{flag} must be at least 1"));
         }
         match field {
-            0 => {
-                cfg.shards = u16::try_from(v).map_err(|_| "--shards: too many".to_string())?;
-            }
-            1 => cfg.replicas = v as usize,
-            2 => cfg.requests = v as usize,
+            0 => cfg.replicas = v as usize,
+            1 => cfg.requests = v as usize,
             _ => cfg.clients = v as usize,
         }
         args.drain(j..=j + 1);
     }
     if cfg.replicas < 2 {
-        return Err("rollout needs --replicas >= 2 (the sibling carries the shard)".into());
+        return Err("rollout needs --replicas >= 2 (a sibling serves while one restarts)".into());
     }
     Ok(Some(cfg))
 }

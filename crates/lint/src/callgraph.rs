@@ -21,13 +21,11 @@
 //! `.expect()`, and `[…]` indexing (which can exceed bounds; `get`
 //! cannot). `panic-reachability` then walks the graph from the serving
 //! roots — every non-test function in `net::server`, `core::serve`,
-//! `core::recover`, `query::exec`, and `shard::router` — and flags
-//! each reachable function that contains a panic site, anchored at its
-//! `fn` line so one justified suppression covers the whole function.
-//! Recovery is a root because it runs before serving can start: a
-//! panic there turns a torn log into a boot loop. The scatter-gather
-//! router is a root because a panic in a connection or prober thread
-//! silently unroutes every shard behind it.
+//! `core::recover` and `query::exec` — and flags each reachable
+//! function that contains a panic site, anchored at its `fn` line so
+//! one justified suppression covers the whole function. Recovery is a
+//! root because it runs before serving can start: a panic there turns
+//! a torn log into a boot loop.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -43,7 +41,6 @@ pub const ROOT_FILES: &[&str] = &[
     "crates/core/src/serve.rs",
     "crates/core/src/recover.rs",
     "crates/query/src/exec.rs",
-    "crates/shard/src/router.rs",
 ];
 
 /// Crates nothing else imports (binaries, the analyzer, the test

@@ -12,7 +12,7 @@
 //! |------|-----------|
 //! | `cost-io-writes` | `Cost` I/O counters are written only by the storage layer (incl. `storage::block` / `storage::kernels`), the shared executor, the planner's attributed operators, and `core::wal`'s recovery scan |
 //! | `no-panic` | library code neither `.unwrap()`s, `.expect()`s nor `panic!`s (per-site; the serving-root files are covered transitively by `panic-reachability` instead) |
-//! | `panic-reachability` | nothing reachable from the serving roots (`net::server`, `core::serve`, `core::recover`, `query::exec`, `shard::router`) can panic — `panic!`, `unwrap`, `expect`, or `[…]` indexing |
+//! | `panic-reachability` | nothing reachable from the serving roots (`net::server`, `core::serve`, `core::recover`, `query::exec`) can panic — `panic!`, `unwrap`, `expect`, or `[…]` indexing |
 //! | `lock-order` | the lock-acquisition graph is cycle-free and nothing blocks while holding two guards |
 //! | `hot-path-alloc` | semijoin kernel bodies never allocate outside `*Scratch` constructors |
 //! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
@@ -73,8 +73,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "panic-reachability",
         summary: "functions reachable from the serving roots (net::server, core::serve, \
-                  core::recover, query::exec, shard::router) must not panic!, unwrap, \
-                  expect, or index without get",
+                  core::recover, query::exec) must not panic!, unwrap, expect, or index \
+                  without get",
         severity: Severity::Error,
         check: Check::Workspace(callgraph::panic_reachability),
     },

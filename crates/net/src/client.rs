@@ -16,13 +16,22 @@
 //! surfaced in [`ClientStats`] so load generators can report how much
 //! resilience the run actually consumed.
 //!
+//! A deadline spans the whole retrying call, not each attempt: the
+//! absolute deadline is fixed at the first send, every resend carries
+//! the budget that is left, backoff sleeps are clamped to it, and no
+//! retry is made once it is spent.
+//!
+//! Connecting with a list of addresses (`Client::connect(&addrs[..])`)
+//! makes one client fail over across a replica pool: every re-dial
+//! tries the peers in order and takes the first that answers, so a
+//! replica that is restarting is skipped until it listens again.
+//!
 //! The load generator and the CLI both sit on this type, as do the
-//! server's own end-to-end tests and the scatter-gather router's
-//! per-replica connections.
+//! server's own end-to-end tests.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::wire::{
     read_message, write_message, Message, Request, Response, WireError, DEFAULT_MAX_FRAME,
@@ -188,10 +197,12 @@ impl Client {
     /// [`Client::call`] with bounded fault tolerance: transport
     /// failures (broken pipe, truncated frame, clean close mid-call)
     /// trigger a reconnect and a resend; shed responses trigger a
-    /// jittered-backoff retry. After `policy.attempts` total tries the
-    /// last response or error is returned as-is — bounded, never an
-    /// infinite loop. Protocol errors (`BadVersion`, `Malformed`, …)
-    /// are returned immediately: retrying cannot fix a peer speaking a
+    /// jittered-backoff retry. After `policy.attempts` total tries, or
+    /// once a nonzero `deadline_ms` measured from the first send is
+    /// spent, the last response or error is returned as-is — bounded,
+    /// never an infinite loop. Each resend carries the remaining
+    /// budget. Protocol errors (`BadVersion`, `Malformed`, …) are
+    /// returned immediately: retrying cannot fix a peer speaking a
     /// different protocol.
     pub fn call_retrying(
         &mut self,
@@ -201,23 +212,44 @@ impl Client {
     ) -> Result<Response, WireError> {
         let attempts = policy.attempts.max(1);
         let mut backoff = policy.backoff;
+        let deadline = (deadline_ms > 0)
+            .then(|| Instant::now().checked_add(Duration::from_millis(u64::from(deadline_ms))))
+            .flatten();
+        let mut budget_ms = deadline_ms;
         let mut result = self.call(query, deadline_ms);
         for _ in 1..attempts {
-            match &result {
+            let shed = match &result {
                 Ok(resp) if resp.status.is_shed() => {
-                    self.stats.retried_sheds += 1;
-                    std::thread::sleep(self.jittered(backoff, policy.backoff_cap));
+                    let mut sleep = self.jittered(backoff, policy.backoff_cap);
+                    if let Some(d) = deadline {
+                        sleep = sleep.min(d.saturating_duration_since(Instant::now()));
+                    }
+                    std::thread::sleep(sleep);
                     backoff = backoff.saturating_mul(2).min(policy.backoff_cap);
+                    true
                 }
                 Ok(_) => return result,
                 Err(WireError::Io(_) | WireError::ConnectionClosed | WireError::Truncated) => {
                     // A dead connection: re-dial before resending. A
                     // failed reconnect is terminal (the peers are gone).
                     self.reconnect()?;
+                    false
                 }
                 Err(_) => return result,
+            };
+            if let Some(d) = deadline {
+                // Whole milliseconds left; 0 would mean "no deadline"
+                // on the wire, so a sub-millisecond rest is spent.
+                let left = d.saturating_duration_since(Instant::now()).as_millis();
+                budget_ms = left.min(u128::from(u32::MAX)) as u32;
+                if budget_ms == 0 {
+                    break;
+                }
             }
-            result = self.call(query, deadline_ms);
+            if shed {
+                self.stats.retried_sheds += 1;
+            }
+            result = self.call(query, budget_ms);
         }
         if matches!(&result, Ok(resp) if resp.status.is_shed()) {
             self.stats.retry_give_ups += 1;
@@ -246,13 +278,21 @@ mod tests {
     use super::*;
     use crate::wire::{Status, DEFAULT_MAX_FRAME};
     use std::net::TcpListener;
+    use std::sync::mpsc;
 
     /// A scripted one-connection-at-a-time responder: for each accepted
     /// connection it answers `per_conn` requests with the scripted
     /// statuses (then drops the connection, mid-script or not).
     fn scripted_server(script: Vec<Vec<Option<Status>>>) -> SocketAddr {
+        recording_server(script).0
+    }
+
+    /// [`scripted_server`] that also reports each request's
+    /// `deadline_ms`, in arrival order.
+    fn recording_server(script: Vec<Vec<Option<Status>>>) -> (SocketAddr, mpsc::Receiver<u32>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
+        let (seen, deadlines) = mpsc::channel();
         std::thread::spawn(move || {
             for conn_script in script {
                 let (mut stream, _) = match listener.accept() {
@@ -264,6 +304,7 @@ mod tests {
                         Ok(Some(Message::Request(r))) => r,
                         _ => break,
                     };
+                    let _ = seen.send(req.deadline_ms);
                     let Some(status) = action else {
                         break; // scripted connection drop: no response
                     };
@@ -277,7 +318,6 @@ mod tests {
                         join_work: 0,
                         server_us: 0,
                         plan_digest: 0,
-                        gens: vec![],
                     };
                     if write_message(&mut stream, &Message::Response(resp)).is_err() {
                         break;
@@ -285,7 +325,7 @@ mod tests {
                 }
             }
         });
-        addr
+        (addr, deadlines)
     }
 
     #[test]
@@ -338,5 +378,36 @@ mod tests {
         let addr = scripted_server(vec![vec![None]]);
         let mut c = Client::connect(addr).expect("connect");
         assert!(c.call("//a", 0).is_err(), "call has no retry semantics");
+    }
+
+    #[test]
+    fn retries_spend_one_deadline_budget() {
+        let (addr, deadlines) = recording_server(vec![vec![Some(Status::Overloaded); 200]]);
+        let mut c = Client::connect(addr).expect("connect");
+        let policy = RetryPolicy {
+            attempts: 200,
+            ..RetryPolicy::default()
+        };
+        let t0 = Instant::now();
+        let resp = c.call_retrying("//a", 30, &policy).expect("call");
+        let took = t0.elapsed();
+        assert_eq!(
+            resp.status,
+            Status::Overloaded,
+            "the spent budget returns the shed"
+        );
+        assert_eq!(c.stats().retry_give_ups, 1);
+        let bound = Duration::from_millis(30) + policy.backoff_cap + Duration::from_millis(150);
+        assert!(took < bound, "call took {took:?}, bound {bound:?}");
+        let sent: Vec<u32> = deadlines.try_iter().collect();
+        assert_eq!(sent.first(), Some(&30));
+        assert!(sent.len() > 1, "the shed was retried");
+        for pair in sent.windows(2) {
+            assert!(
+                pair[1] < 30 && pair[1] <= pair[0],
+                "resent budgets {sent:?}"
+            );
+        }
+        assert!(sent.iter().all(|&ms| ms > 0), "0 would lift the deadline");
     }
 }

@@ -52,17 +52,7 @@ pub struct Engine {
     cell: Arc<IndexCell>,
     monitor: Arc<Mutex<WorkloadMonitor>>,
     refresher: Option<Arc<Refresher>>,
-    /// When true, the refresher outlives this engine's server (replicas
-    /// of one shard share it), so `begin_drain` leaves it running.
-    refresher_shared: bool,
     buf: BufferHandle,
-    /// Shard-local serving: this engine's shard id, stamped into every
-    /// response's generation vector.
-    shard_tag: Option<u16>,
-    /// Shard-local serving: sorted node ids this shard owns. Query
-    /// results are filtered to this set, so the union over a cluster's
-    /// shards is exactly the single-process result, disjointly.
-    owned: Option<Arc<Vec<u32>>>,
 }
 
 impl Engine {
@@ -80,10 +70,7 @@ impl Engine {
             cell,
             monitor,
             refresher: None,
-            refresher_shared: false,
             buf: BufferHandle::unbounded(),
-            shard_tag: None,
-            owned: None,
         }
     }
 
@@ -92,43 +79,7 @@ impl Engine {
     /// are still recorded but nothing rebuilds.
     pub fn with_refresher(mut self, refresher: Arc<Refresher>) -> Engine {
         self.refresher = Some(refresher);
-        self.refresher_shared = false;
         self
-    }
-
-    /// Attaches a refresher that this engine's server does *not* own:
-    /// draining the server leaves it running. Replicated shards use
-    /// this — every replica of a shard nudges the same refresher, and
-    /// one replica draining for a rolling swap must not stop the
-    /// shard's adaptation (the shard runtime shuts it down last).
-    pub fn with_shared_refresher(mut self, refresher: Arc<Refresher>) -> Engine {
-        self.refresher = Some(refresher);
-        self.refresher_shared = true;
-        self
-    }
-
-    /// Tags this engine as serving shard `shard` of a cluster: the
-    /// server stamps `(shard, generation)` into every response's
-    /// generation vector so a scatter-gather router can enforce the
-    /// no-mixed-generations invariant.
-    pub fn with_shard_tag(mut self, shard: u16) -> Engine {
-        self.shard_tag = Some(shard);
-        self
-    }
-
-    /// Restricts results to the shard's owned node set (`owned` must be
-    /// sorted ascending). Evaluation still runs over the full graph —
-    /// the filter is what makes per-shard results disjoint, so the
-    /// router's merge of every shard's rows reproduces the
-    /// single-process answer exactly.
-    pub fn with_owned_nodes(mut self, owned: Arc<Vec<u32>>) -> Engine {
-        self.owned = Some(owned);
-        self
-    }
-
-    /// The shard id stamped into responses, when shard-tagged.
-    pub fn shard_tag(&self) -> Option<u16> {
-        self.shard_tag
     }
 
     /// The current published generation.
@@ -138,13 +89,10 @@ impl Engine {
 
     /// Drain hook: stops the attached refresher accepting new rebuild
     /// requests (its in-flight cycle still completes). The owner of the
-    /// `Refresher` joins it after the server has drained. A *shared*
-    /// refresher ([`Engine::with_shared_refresher`]) is left running —
-    /// sibling replicas still depend on it.
+    /// `Refresher` joins it after the server has drained.
+    /// [`crate::Server::restart`] does not call this: replicas over one
+    /// engine keep adapting while one of them rebinds.
     pub fn begin_drain(&self) {
-        if self.refresher_shared {
-            return;
-        }
         if let Some(r) = &self.refresher {
             r.begin_shutdown();
         }
@@ -224,32 +172,16 @@ impl Engine {
         } else {
             Status::Ok
         };
-        let mut nodes = out.nodes;
-        if let Some(owned) = &self.owned {
-            filter_owned(&mut nodes, owned);
-        }
         ExecOutcome {
             status,
             generation,
-            total_rows: nodes.len().min(u32::MAX as usize) as u32,
-            rows: nodes.iter().take(MAX_ROW_SAMPLE).map(|n| n.0).collect(),
+            total_rows: out.nodes.len().min(u32::MAX as usize) as u32,
+            rows: out.nodes.iter().take(MAX_ROW_SAMPLE).map(|n| n.0).collect(),
             pages_read: out.cost.pages_read,
             join_work: out.cost.join_work,
             plan_digest: out.plan.as_ref().map_or(0, |r| r.digest),
         }
     }
-}
-
-/// Retains exactly the nodes in `owned` (both inputs sorted ascending
-/// by node id — document order), by a linear merge intersect.
-fn filter_owned(nodes: &mut Vec<xmlgraph::NodeId>, owned: &[u32]) {
-    let mut oi = 0usize;
-    nodes.retain(|n| {
-        while owned.get(oi).is_some_and(|&o| o < n.0) {
-            oi += 1;
-        }
-        owned.get(oi).copied() == Some(n.0)
-    });
 }
 
 #[cfg(test)]
@@ -312,32 +244,6 @@ mod tests {
         // A deadline already in the past trips the first checkpoint.
         let out = e.execute("//actor/name", Some(Instant::now()));
         assert_eq!(out.status, Status::DeadlineExceeded);
-    }
-
-    #[test]
-    fn owned_filter_partitions_results_disjointly() {
-        let full = engine().execute("//actor/name", None);
-        assert_eq!(full.status, Status::Ok);
-        // Split the id space in two by parity; the halves must tile the
-        // full result exactly.
-        let g = Arc::new(moviedb());
-        let evens: Vec<u32> = (0..g.node_count() as u32).filter(|n| n % 2 == 0).collect();
-        let odds: Vec<u32> = (0..g.node_count() as u32).filter(|n| n % 2 == 1).collect();
-        let e0 = engine().with_owned_nodes(Arc::new(evens));
-        let e1 = engine().with_owned_nodes(Arc::new(odds));
-        let a = e0.execute("//actor/name", None);
-        let b = e1.execute("//actor/name", None);
-        assert_eq!(a.total_rows + b.total_rows, full.total_rows);
-        let mut union: Vec<u32> = a.rows.iter().chain(b.rows.iter()).copied().collect();
-        union.sort_unstable();
-        assert_eq!(union, full.rows, "shard halves must tile the full rows");
-    }
-
-    #[test]
-    fn shard_tag_is_exposed() {
-        let e = engine().with_shard_tag(3);
-        assert_eq!(e.shard_tag(), Some(3));
-        assert_eq!(engine().shard_tag(), None);
     }
 
     #[test]

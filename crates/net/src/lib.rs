@@ -17,10 +17,16 @@
 //!   (bounded queue, explicit [`Status::Overloaded`] /
 //!   [`Status::Draining`] sheds, never silent drops), per-request
 //!   deadlines enforced at dequeue and mid-execution checkpoints, and
-//!   graceful drain accounted by [`NetStats`];
+//!   graceful drain accounted by [`NetStats`], and
+//!   [`Server::restart`] for rolling restarts;
 //! * [`client`] — a small blocking client library (with bounded
-//!   reconnect + shed-retry fault tolerance) used by the CLI, the load
-//!   generator, the scatter-gather router and the tests.
+//!   reconnect + shed-retry fault tolerance under one deadline budget)
+//!   used by the CLI, the load generator and the tests.
+//!
+//! Replicated serving needs no extra tier: N servers over clones of
+//! one [`Engine`] form a replica pool, a [`Client`] connected to all
+//! of their addresses fails over between them, and restarting them
+//! one at a time is a rolling drain that clients never see as a shed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,4 +39,4 @@ pub mod wire;
 pub use client::{Client, ClientStats, RetryPolicy};
 pub use engine::{Engine, ExecOutcome};
 pub use server::{ConnStats, NetStats, Server, ServerConfig};
-pub use wire::{Message, Request, Response, ShardGen, Status, WireError};
+pub use wire::{Message, Request, Response, Status, WireError};

@@ -17,7 +17,7 @@
 //! Admission states for one request:
 //!
 //! ```text
-//! frame read ──► accepted ──┬─ closing? ──────────► shed (Draining)
+//! frame read ──► accepted ──┬─ closing? ──────────► shed (Draining), close
 //!                           ├─ queue full? ───────► shed (Overloaded)
 //!                           └─ enqueued ──► dequeue ─┬─ deadline past? ─► timed_out
 //!                                                    └─ execute ─┬─ interrupted ─► timed_out
@@ -32,13 +32,18 @@
 //!
 //! Drain (`Server::drain`) runs: set `closing` → stop the refresher
 //! taking new rebuilds → wake and join the acceptor → join readers
-//! (each notices `closing` within one poll interval; partial frames
+//! (each notices `closing` within one poll interval, or answers its
+//! next frame `Draining` and closes the connection; partial frames
 //! are dropped *un-accepted*) → close the queue → workers finish the
 //! queued backlog deterministically (execute, or time out if the
 //! deadline passed — queued work was accepted, so it is never
 //! discarded) → join workers → snapshot [`NetStats`]. Joining the
 //! last worker drops the last handle to each connection, so peers see
 //! EOF only after every accepted request has been answered.
+//!
+//! `Server::restart` runs the same sequence minus the refresher step
+//! and then binds the same address again over the same engine: one
+//! step of a rolling restart across replicas that share that engine.
 
 use std::collections::VecDeque;
 use std::io;
@@ -49,7 +54,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
-use crate::wire::{write_message, Message, Request, Response, ShardGen, Status, DEFAULT_MAX_FRAME};
+use crate::wire::{write_message, Message, Request, Response, Status, DEFAULT_MAX_FRAME};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -370,13 +375,37 @@ impl Server {
     /// [`Server::stats`] and [`Server::connection_stats`] afterwards;
     /// draining twice is a no-op.
     pub fn drain(&mut self) -> NetStats {
+        self.shared.engine.begin_drain();
         self.drain_in_place();
         self.stats()
     }
 
+    /// Rolling-restart step: drains this listener like [`Server::drain`]
+    /// but leaves the engine's refresher running, then binds the same
+    /// address again over the same engine and config. Returns the
+    /// retired listener's final accounting; the restarted server's
+    /// ledger starts from zero.
+    ///
+    /// Clients holding the whole replica address list ride through a
+    /// restart on [`crate::Client::call_retrying`]: the drain answers
+    /// their next request `Draining` and closes the connection, the
+    /// retry re-dials, and the dial lands on a sibling replica (or on
+    /// this one once it is listening again). If the rebind fails, the
+    /// error is returned and this server stays drained.
+    pub fn restart(&mut self) -> io::Result<NetStats> {
+        self.drain_in_place();
+        let retired = self.stats();
+        let fresh = Server::start(
+            self.shared.engine.clone(),
+            self.shared.cfg.clone(),
+            self.local_addr,
+        )?;
+        *self = fresh;
+        Ok(retired)
+    }
+
     fn drain_in_place(&mut self) {
         self.shared.closing.store(true, Ordering::SeqCst);
-        self.shared.engine.begin_drain();
         // Wake the acceptor out of its blocking accept; the connection
         // is refused once `closing` is observed.
         let _ = TcpStream::connect(self.local_addr);
@@ -402,6 +431,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         if self.acceptor.is_some() || !self.workers.is_empty() {
+            self.shared.engine.begin_drain();
             self.drain_in_place();
         }
     }
@@ -551,9 +581,12 @@ fn reader_loop(mut stream: TcpStream, conn: &Arc<Conn>, shared: &Arc<Shared>) {
                 .default_deadline
                 .and_then(|d| admitted.checked_add(d))
         };
+        // A draining server answers the frame and then closes the
+        // connection, so a peer that keeps pipelining cannot hold the
+        // reader (and with it `Server::drain`) open.
         if shared.closing.load(Ordering::SeqCst) {
             conn.respond(&shared.counters, &shed(&req, Status::Draining, shared));
-            continue;
+            return;
         }
         let job = Job {
             req,
@@ -571,35 +604,24 @@ fn reader_loop(mut stream: TcpStream, conn: &Arc<Conn>, shared: &Arc<Shared>) {
             Admission::Closed(job) => {
                 job.conn
                     .respond(&shared.counters, &shed(&job.req, Status::Draining, shared));
+                return;
             }
         }
     }
 }
 
-/// The response's generation vector: shard-tagged engines stamp their
-/// `(shard, generation)` entry so routers can audit consistency;
-/// untagged single-process servers leave it empty.
-fn shard_gens(engine: &Engine, generation: u64) -> Vec<ShardGen> {
-    match engine.shard_tag() {
-        Some(shard) => vec![ShardGen { shard, generation }],
-        None => Vec::new(),
-    }
-}
-
 /// A rows-free refusal response.
 fn shed(req: &Request, status: Status, shared: &Shared) -> Response {
-    let generation = shared.engine.generation();
     Response {
         id: req.id,
         status,
-        generation,
+        generation: shared.engine.generation(),
         total_rows: 0,
         rows: Vec::new(),
         pages_read: 0,
         join_work: 0,
         server_us: 0,
         plan_digest: 0,
-        gens: shard_gens(&shared.engine, generation),
     }
 }
 
@@ -609,20 +631,18 @@ fn worker_loop(shared: &Shared) {
         // Deadline check at dequeue: queue wait already spent the
         // budget, so don't burn an execution on a dead request.
         if job.deadline.is_some_and(|d| start >= d) {
-            let generation = shared.engine.generation();
             job.conn.respond(
                 &shared.counters,
                 &Response {
                     id: job.req.id,
                     status: Status::DeadlineExceeded,
-                    generation,
+                    generation: shared.engine.generation(),
                     total_rows: 0,
                     rows: Vec::new(),
                     pages_read: 0,
                     join_work: 0,
                     server_us: 0,
                     plan_digest: 0,
-                    gens: shard_gens(&shared.engine, generation),
                 },
             );
             continue;
@@ -641,7 +661,6 @@ fn worker_loop(shared: &Shared) {
                 join_work: out.join_work,
                 server_us,
                 plan_digest: out.plan_digest,
-                gens: shard_gens(&shared.engine, out.generation),
             },
         );
     }
@@ -791,6 +810,71 @@ mod tests {
         drop((a, b));
         let stats = server.drain();
         assert_eq!(stats.connections, 2);
+        assert!(stats.balanced(), "{stats}");
+    }
+
+    #[test]
+    fn drain_is_bounded_under_a_pipelining_peer() {
+        use std::io::{Read, Write};
+        let mut server = start(ServerConfig::default());
+        let mut payload = Vec::new();
+        write_message(
+            &mut payload,
+            &Message::Request(Request {
+                id: 0,
+                deadline_ms: 0,
+                query: "//actor/name".into(),
+            }),
+        )
+        .expect("encode");
+        let mut tx = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut rx = tx.try_clone().expect("clone");
+        // Discard responses so the server's writes never block.
+        let sink = std::thread::spawn(move || {
+            let mut buf = [0u8; 4096];
+            while rx.read(&mut buf).is_ok_and(|n| n > 0) {}
+        });
+        // Pipeline without pause until the socket breaks (or a bound
+        // far above the drain budget, so a stuck drain fails the test
+        // instead of hanging it).
+        let pipeline = std::thread::spawn(move || {
+            let stop = Instant::now() + Duration::from_secs(5);
+            while Instant::now() < stop && tx.write_all(&payload).is_ok() {}
+        });
+        while server.stats().accepted < 100 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        let stats = server.drain();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "drain took {took:?}");
+        assert!(stats.balanced(), "{stats}");
+        pipeline.join().expect("pipeline");
+        sink.join().expect("sink");
+    }
+
+    #[test]
+    fn restart_rebinds_the_same_address_and_keeps_the_engine() {
+        let mut server = start(ServerConfig::default());
+        let addr = server.local_addr();
+        let mut c = Client::connect(addr).expect("connect");
+        let before = c.call("//actor/name", 0).expect("call");
+        assert_eq!(before.status, Status::Ok);
+        let retired = server.restart().expect("restart");
+        assert_eq!(server.local_addr(), addr);
+        assert_eq!(retired.accepted, 1);
+        assert!(retired.balanced(), "{retired}");
+        assert_eq!(server.stats(), NetStats::default(), "fresh ledger");
+        // The old connection is gone; a retrying call re-dials the
+        // rebound listener and gets the same answer.
+        let after = c
+            .call_retrying("//actor/name", 0, &crate::RetryPolicy::default())
+            .expect("retrying call");
+        assert_eq!(after.status, Status::Ok);
+        assert_eq!(after.rows, before.rows);
+        drop(c);
+        let stats = server.drain();
+        assert_eq!(stats.accepted, 1);
         assert!(stats.balanced(), "{stats}");
     }
 

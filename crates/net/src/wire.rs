@@ -33,15 +33,6 @@
 //! | 8 | join work (cost summary) |
 //! | 8 | server-side service time in µs |
 //! | 8 | plan digest (0 = no cost-based plan ran) |
-//! | 2 | generation-vector entry count `g` (≤ [`MAX_GEN_ENTRIES`]) |
-//! | 10g | per-shard entries: `u16` shard id + `u64` generation |
-//!
-//! The generation vector is what makes scatter-gather auditable: a
-//! shard-local server stamps its own `(shard, generation)` entry, the
-//! router merges the entries of every sub-response it combined, and a
-//! client can therefore check that no response mixes two generations
-//! of the same shard. Single-process servers leave it empty (protocol
-//! version 2 introduced the field; version 1 peers are rejected).
 //!
 //! Decoding is total: every malformed input maps to a [`WireError`]
 //! (truncated frame, oversized length prefix, unknown version or kind,
@@ -51,9 +42,10 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// The only protocol version this build speaks (2 = the generation
-/// vector joined the response body).
-pub const PROTOCOL_VERSION: u8 = 2;
+/// The only protocol version this build speaks; every change to a
+/// frame layout bumps it, and peers speaking another version are
+/// rejected.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Default cap on one frame's payload size (1 MiB).
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
@@ -64,11 +56,6 @@ pub const MAX_QUERY_BYTES: usize = 1 << 16;
 /// Cap on the result-row sample a response carries (the full count is
 /// always reported; the ids are a prefix sample, like a `LIMIT`).
 pub const MAX_ROW_SAMPLE: usize = 64;
-
-/// Cap on the per-shard generation vector a response carries — far
-/// above any real topology, low enough that a hostile count cannot
-/// balloon an allocation.
-pub const MAX_GEN_ENTRIES: usize = 1024;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_RESPONSE: u8 = 1;
@@ -133,16 +120,6 @@ impl fmt::Display for Status {
     }
 }
 
-/// One entry of a response's per-shard generation vector: which index
-/// generation of shard `shard` contributed rows to the response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ShardGen {
-    /// Shard id, as assigned by the cluster's `ShardMap`.
-    pub shard: u16,
-    /// The shard's published index generation that served the query.
-    pub generation: u64,
-}
-
 /// One query request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -181,12 +158,6 @@ pub struct Response {
     /// this with tail latency to attribute slow requests to planning
     /// choices across generations.
     pub plan_digest: u64,
-    /// Per-shard generation vector (≤ [`MAX_GEN_ENTRIES`] entries).
-    /// Empty on single-process servers; a shard-local server stamps
-    /// exactly one entry; a scatter-gather router stamps one entry per
-    /// shard it merged. At most one entry per shard id — the "no mixed
-    /// generations" consistency invariant.
-    pub gens: Vec<ShardGen>,
 }
 
 /// Either message kind, as decoded off a frame.
@@ -278,14 +249,6 @@ impl<'a> Cursor<'a> {
         b.first().copied().ok_or(WireError::Malformed(what))
     }
 
-    fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        let b: [u8; 2] = self
-            .take(2, what)?
-            .try_into()
-            .map_err(|_| WireError::Malformed(what))?;
-        Ok(u16::from_le_bytes(b))
-    }
-
     fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
         let b: [u8; 4] = self
             .take(4, what)?
@@ -359,16 +322,6 @@ impl Response {
         out.extend_from_slice(&self.join_work.to_le_bytes());
         out.extend_from_slice(&self.server_us.to_le_bytes());
         out.extend_from_slice(&self.plan_digest.to_le_bytes());
-        if self.gens.len() > MAX_GEN_ENTRIES {
-            return Err(WireError::Malformed(
-                "generation vector exceeds MAX_GEN_ENTRIES",
-            ));
-        }
-        out.extend_from_slice(&(self.gens.len() as u16).to_le_bytes());
-        for e in &self.gens {
-            out.extend_from_slice(&e.shard.to_le_bytes());
-            out.extend_from_slice(&e.generation.to_le_bytes());
-        }
         Ok(())
     }
 
@@ -389,19 +342,6 @@ impl Response {
         let join_work = cur.u64("join_work")?;
         let server_us = cur.u64("server_us")?;
         let plan_digest = cur.u64("plan_digest")?;
-        let gen_count = cur.u16("generation count")? as usize;
-        if gen_count > MAX_GEN_ENTRIES {
-            return Err(WireError::Malformed(
-                "generation vector exceeds MAX_GEN_ENTRIES",
-            ));
-        }
-        let mut gens = Vec::with_capacity(gen_count);
-        for _ in 0..gen_count {
-            gens.push(ShardGen {
-                shard: cur.u16("gen shard id")?,
-                generation: cur.u64("gen generation")?,
-            });
-        }
         Ok(Response {
             id,
             status,
@@ -412,7 +352,6 @@ impl Response {
             join_work,
             server_us,
             plan_digest,
-            gens,
         })
     }
 }
@@ -549,16 +488,6 @@ mod tests {
             join_work: 456,
             server_us: 789,
             plan_digest: 0xfeed_beef,
-            gens: vec![
-                ShardGen {
-                    shard: 0,
-                    generation: 7,
-                },
-                ShardGen {
-                    shard: 2,
-                    generation: 9,
-                },
-            ],
         });
         assert_eq!(roundtrip(&m), m);
     }
@@ -580,7 +509,6 @@ mod tests {
             join_work: 0,
             server_us: 0,
             plan_digest: 0,
-            gens: vec![],
         });
         let mut wire = Vec::new();
         write_message(&mut wire, &a).expect("write a");
@@ -669,29 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_generation_vector_refuses_to_encode() {
-        let m = Message::Response(Response {
-            id: 1,
-            status: Status::Ok,
-            generation: 0,
-            total_rows: 0,
-            rows: vec![],
-            pages_read: 0,
-            join_work: 0,
-            server_us: 0,
-            plan_digest: 0,
-            gens: vec![
-                ShardGen {
-                    shard: 0,
-                    generation: 0,
-                };
-                MAX_GEN_ENTRIES + 1
-            ],
-        });
-        assert!(matches!(m.encode(), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
     fn response_body_truncations_are_rejected() {
         let m = Message::Response(Response {
             id: 7,
@@ -703,16 +608,6 @@ mod tests {
             join_work: 2,
             server_us: 3,
             plan_digest: 4,
-            gens: vec![
-                ShardGen {
-                    shard: 0,
-                    generation: 3,
-                },
-                ShardGen {
-                    shard: 1,
-                    generation: 5,
-                },
-            ],
         });
         let payload = m.encode().expect("encode");
         for cut in 2..payload.len() {
@@ -763,10 +658,6 @@ mod tests {
             join_work: 6,
             server_us: 7,
             plan_digest: 8,
-            gens: vec![ShardGen {
-                shard: 1,
-                generation: 4,
-            }],
         });
         let payload = m.encode().expect("encode");
         for i in 0..payload.len() {
@@ -812,18 +703,12 @@ mod tests {
             join_work in 0u64..=u64::MAX,
             server_us in 0u64..=u64::MAX,
             plan_digest in 0u64..=u64::MAX,
-            gens in proptest::collection::vec((0u16..=u16::MAX, 0u64..=u64::MAX), 0..16),
         ) {
             let status = Status::from_code(code).expect("valid code range");
             let total_rows = rows.len() as u32 + extra_rows;
-            let gens: Vec<ShardGen> = gens
-                .iter()
-                .map(|&(shard, generation)| ShardGen { shard, generation })
-                .collect();
             let m = Message::Response(Response {
                 id, status, generation, total_rows,
                 rows: rows.clone(), pages_read, join_work, server_us, plan_digest,
-                gens,
             });
             let payload = m.encode().expect("encode");
             prop_assert_eq!(Message::decode(&payload).expect("decode"), m);

@@ -696,138 +696,6 @@ pub mod decoded {
     }
 }
 
-/// Reusable cursor state for [`merge_sorted_into`]: one allocation per
-/// call site (the router keeps one per connection), not per query.
-#[derive(Debug, Default)]
-pub struct MergeScratch {
-    pos: Vec<usize>,
-}
-
-impl MergeScratch {
-    /// Fresh scratch state.
-    pub fn new() -> MergeScratch {
-        MergeScratch::default()
-    }
-}
-
-/// Galloping lower bound over a sorted `u32` slice: first index
-/// `i >= lo` with `xs[i] >= target`, counting comparisons into `work`.
-/// The `u32` twin of [`gallop_lower_bound`]; index-free, so it stays
-/// panic-free on the router's serving path.
-fn gallop_lower_bound_u32(xs: &[u32], lo: usize, target: u32, work: &mut usize) -> usize {
-    let mut step = 1usize;
-    let mut prev = lo;
-    let mut hi = lo;
-    // Exponential phase: bracket the target.
-    loop {
-        match xs.get(hi) {
-            None => {
-                hi = xs.len();
-                break;
-            }
-            Some(&v) => {
-                *work += 1;
-                if v >= target {
-                    break;
-                }
-                prev = hi + 1;
-                hi += step;
-                step *= 2;
-            }
-        }
-    }
-    // Binary phase within [prev, hi).
-    let mut base = prev;
-    let mut size = hi - base;
-    while size > 0 {
-        let half = size / 2;
-        *work += 1;
-        if xs.get(base + half).is_some_and(|&v| v < target) {
-            base += half + 1;
-            size -= half + 1;
-        } else {
-            size = half;
-        }
-    }
-    base
-}
-
-/// K-way union of sorted-ascending `u32` lists into `out` (cleared
-/// first), deduplicating across lists; comparison count accumulates
-/// into `work`. This is the scatter-gather router's merge path: every
-/// shard answers with its owned rows in document order, and because
-/// ownership partitions the node space the union reproduces the
-/// single-process result exactly. The sole owner of the current
-/// minimum gallops its whole run below every other head into the
-/// output in one `extend_from_slice`, so merging disjoint shard
-/// results degrades to run-length copies, not per-element heap churn.
-pub fn merge_sorted_into(
-    lists: &[&[u32]],
-    scratch: &mut MergeScratch,
-    out: &mut Vec<u32>,
-    work: &mut usize,
-) {
-    out.clear();
-    scratch.pos.clear();
-    scratch.pos.resize(lists.len(), 0);
-    loop {
-        // Pass 1: the minimum head and how many lists share it.
-        let mut min: Option<u32> = None;
-        let mut owner = 0usize;
-        let mut owners = 0usize;
-        for (i, (l, &p)) in lists.iter().zip(scratch.pos.iter()).enumerate() {
-            let Some(&v) = l.get(p) else { continue };
-            *work += 1;
-            match min {
-                Some(m) if v > m => {}
-                Some(m) if v == m => owners += 1,
-                _ => {
-                    min = Some(v);
-                    owner = i;
-                    owners = 1;
-                }
-            }
-        }
-        let Some(m) = min else { break };
-        out.push(m);
-        if owners == 1 {
-            // The run below every other head belongs wholly to the
-            // owner: gallop to its end and copy it in one go.
-            let mut bound: Option<u32> = None;
-            for (i, (l, &p)) in lists.iter().zip(scratch.pos.iter()).enumerate() {
-                if i == owner {
-                    continue;
-                }
-                if let Some(&v) = l.get(p) {
-                    bound = Some(match bound {
-                        Some(b) if b <= v => b,
-                        _ => v,
-                    });
-                }
-            }
-            let (Some(l), Some(p)) = (lists.get(owner), scratch.pos.get_mut(owner)) else {
-                break; // unreachable: owner indexes a seen head
-            };
-            let start = *p + 1;
-            let end = match bound {
-                Some(b) => gallop_lower_bound_u32(l, start, b, work),
-                None => l.len(),
-            };
-            if let Some(run) = l.get(start..end) {
-                out.extend_from_slice(run);
-            }
-            *p = end;
-        } else {
-            // A cross-list duplicate: advance every list past it.
-            for (l, p) in lists.iter().zip(scratch.pos.iter_mut()) {
-                if l.get(*p).copied() == Some(m) {
-                    *p += 1;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1000,69 +868,5 @@ mod tests {
             EdgePair::root(NodeId(0)),
         ]);
         check_all(&extent, &[xmlgraph::NULL_NODE]);
-    }
-
-    fn merged(lists: &[&[u32]]) -> Vec<u32> {
-        let mut scratch = MergeScratch::new();
-        let mut out = Vec::new();
-        let mut work = 0usize;
-        merge_sorted_into(lists, &mut scratch, &mut out, &mut work);
-        out
-    }
-
-    #[test]
-    fn kway_merge_unions_sorted_lists() {
-        assert_eq!(merged(&[]), Vec::<u32>::new());
-        assert_eq!(merged(&[&[], &[]]), Vec::<u32>::new());
-        assert_eq!(merged(&[&[1, 2, 3]]), vec![1, 2, 3]);
-        // Disjoint interleaved runs (the shard-partition shape).
-        assert_eq!(
-            merged(&[&[0, 3, 4, 9], &[1, 2, 8], &[5, 6, 7]]),
-            (0..10).collect::<Vec<u32>>()
-        );
-        // Long disjoint runs exercise the gallop fast path.
-        let a: Vec<u32> = (0..100).collect();
-        let b: Vec<u32> = (100..200).collect();
-        assert_eq!(merged(&[&b, &a]), (0..200).collect::<Vec<u32>>());
-        // Cross-list duplicates collapse.
-        assert_eq!(merged(&[&[1, 3, 5], &[1, 2, 5, 6]]), vec![1, 2, 3, 5, 6]);
-        assert_eq!(merged(&[&[7], &[7], &[7]]), vec![7]);
-    }
-
-    #[test]
-    fn kway_merge_matches_naive_union_on_random_partitions() {
-        // Deterministic pseudo-random partition of 0..N into k lists.
-        let mut x = 0x1234_5678_9abc_def0u64;
-        for k in 1..6usize {
-            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); k];
-            for v in 0..500u32 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                lists[(x % k as u64) as usize].push(v);
-                if x.is_multiple_of(7) {
-                    // Occasional duplicate in a second list.
-                    lists[(x / 7 % k as u64) as usize].push(v);
-                }
-            }
-            for l in &mut lists {
-                l.sort_unstable();
-                l.dedup();
-            }
-            let borrowed: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-            assert_eq!(merged(&borrowed), (0..500).collect::<Vec<u32>>());
-        }
-    }
-
-    #[test]
-    fn kway_merge_reuses_scratch_across_calls() {
-        let mut scratch = MergeScratch::new();
-        let mut out = Vec::new();
-        let mut work = 0usize;
-        merge_sorted_into(&[&[1, 5], &[2, 3]], &mut scratch, &mut out, &mut work);
-        assert_eq!(out, vec![1, 2, 3, 5]);
-        merge_sorted_into(&[&[9]], &mut scratch, &mut out, &mut work);
-        assert_eq!(out, vec![9], "out is cleared per call");
-        assert!(work > 0);
     }
 }

@@ -48,8 +48,6 @@ pub use cost::{Cost, OpBreakdown, OpCost, OpKind};
 pub use datatable::DataTable;
 pub use diskstore::{ExtentId, ExtentStore};
 pub use edgeset::{EdgePair, EdgeSet};
-pub use kernels::{
-    merge_sorted_into, Kernel, KernelPolicy, KernelReport, MergeScratch, SemijoinScratch,
-};
+pub use kernels::{Kernel, KernelPolicy, KernelReport, SemijoinScratch};
 pub use pages::PageModel;
 pub use succinct::{EndCursor, EndIndex, Ends, SuccinctExtent};
