@@ -83,6 +83,14 @@ plan_smoke() {
     rm -rf "$out"
 }
 
+# The benchmark (perfbench/) is a cargo workspace of its own that builds
+# the library crates from source through path dependencies. Building it
+# and running its unit tests here makes a library change that breaks the
+# benchmark fail the gate.
+perfbench_check() {
+    cargo test --offline --locked --quiet --manifest-path perfbench/Cargo.toml
+}
+
 # The self-check runs apex-lint over the workspace (its own sources
 # included) and archives the machine-readable reports under results/ for
 # code-scanning consumers. Text mode above is the human-facing gate;
@@ -136,6 +144,7 @@ run cargo build --release --offline --workspace
 run cargo test --offline --workspace --quiet
 run kernel_smoke
 run plan_smoke
+run perfbench_check
 run net_smoke
 run rollout_smoke
 run recovery_smoke

@@ -11,18 +11,20 @@
 //!   `H_APEX`), not from the root as a DataGuide must. Implemented as a
 //!   cycle-safe dataflow fixpoint that joins extents along `G_APEX`
 //!   edges (equivalent to enumerating the rewritten label paths and
-//!   joining per path, but terminates on cyclic class graphs).
+//!   joining per path, but terminates on cyclic class graphs). It keeps
+//!   one reached set over data nodes and propagates each reached node
+//!   once, draining classes from a FIFO worklist.
 //! * **QTYPE3** — QTYPE1 followed by data-table probes.
 //!
 //! All physical work — extent I/O, unions, semijoins, table probes —
 //! runs through the shared operators in [`crate::exec`] over a
 //! cross-query [`BufferHandle`] pool.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use apex::{Apex, PlanStats, XNodeId};
 use apex_storage::bufmgr::{BufferHandle, Space};
-use apex_storage::{DataTable, EdgeSet, KernelPolicy};
+use apex_storage::{DataTable, EdgeSet, Ends, KernelPolicy};
 use xmlgraph::{LabelId, NodeId, XmlGraph};
 
 use crate::ast::Query;
@@ -48,11 +50,6 @@ pub struct ApexProcessor<'a> {
     /// extents, so snapshot swaps without distinct tags would score
     /// phantom pool hits on stale cached objects.
     tag: u64,
-    /// Page-packed byte offsets of `G_APEX` node records (16 bytes
-    /// header + 8 per edge): node `x` occupies
-    /// `node_offsets[x]..node_offsets[x+1]` of [`Space::ApexNode`],
-    /// shifted by the generation tag's stride.
-    node_offsets: Vec<u64>,
     /// Kernel policy for every semijoin this processor runs.
     policy: KernelPolicy,
     /// Absolute per-query deadline armed on every [`ExecContext`] this
@@ -96,20 +93,12 @@ impl<'a> ApexProcessor<'a> {
         buf: BufferHandle,
         tag: u64,
     ) -> Self {
-        let mut node_offsets = exec::record_layout(
-            (0..apex.graph().allocated()).map(|i| 16 + 8 * apex.out_edges(XNodeId(i as u32)).len()),
-        );
-        let base = tag * NAV_TAG_STRIDE;
-        for off in &mut node_offsets {
-            *off += base;
-        }
         ApexProcessor {
             g,
             apex,
             table,
             buf,
             tag,
-            node_offsets,
             policy: KernelPolicy::Adaptive,
             deadline: None,
             stats: None,
@@ -186,26 +175,34 @@ impl<'a> ApexProcessor<'a> {
         (nodes, report)
     }
 
-    /// Charges the first visit of class node `x`'s page-packed record.
-    // apex-lint: allow(panic-reachability): `touched` and `node_offsets` are sized n and n+1 over the same class-node count
-    fn nav_node(&self, x: XNodeId, touched: &mut [bool], ctx: &mut ExecContext<'_>) {
-        let i = x.0 as usize;
-        if !touched[i] {
-            touched[i] = true;
-            IndexNav {
-                space: Space::ApexNode,
-                bytes: self.node_offsets[i]..self.node_offsets[i + 1],
-            }
-            .run(ctx);
+    /// Page-packed byte offsets of the `G_APEX` node records (16 bytes
+    /// header + 8 per edge) in [`Space::ApexNode`]: node `x` occupies
+    /// `layout[x]..layout[x+1]`, shifted by the generation tag's stride.
+    /// Only QTYPE2 navigates node records, so only it builds the layout.
+    fn node_layout(&self) -> Vec<u64> {
+        let mut offsets = exec::record_layout(
+            (0..self.apex.graph().allocated())
+                .map(|i| 16 + 8 * self.apex.out_edges(XNodeId(i as u32)).len()),
+        );
+        let base = self.tag * NAV_TAG_STRIDE;
+        for off in &mut offsets {
+            *off += base;
         }
+        offsets
     }
 
-    /// QTYPE2: dataflow fixpoint from the `l_i` classes.
+    /// QTYPE2: dataflow fixpoint from the `l_i` classes that propagates
+    /// every reached data node exactly once.
     ///
-    /// Deltas are *batched per class node* before propagation, so each
-    /// `G_APEX` edge scans its target extent once per round instead of
-    /// once per incoming delta — the disk-friendly evaluation order the
-    /// paper's join-of-extents description implies.
+    /// Theorem 1 (every data edge is simulated from *every* class its
+    /// source belongs to) and determinism (at most one `G_APEX` out-edge
+    /// per label) make one propagation exact: every data out-edge of a
+    /// node is found by semijoining it from any class whose extent ends
+    /// at it. So the fixpoint keeps one reached set over data nodes, not
+    /// per-class pair sets. A node enters its class's pending list the
+    /// first time a step reaches it, and a FIFO worklist of classes
+    /// drains each class's whole pending delta per pop — one semijoin per
+    /// out-edge of the class for every arrival gathered while it waited.
     fn eval_anc_desc(
         &self,
         first: LabelId,
@@ -214,69 +211,102 @@ impl<'a> ApexProcessor<'a> {
     ) -> Vec<NodeId> {
         let seg = self.apex.segment_nodes(&[first]);
         ctx.note_hash_lookups(seg.hash_lookups);
-        // known: per class node, extent pairs already proven reachable
-        // from an l_i instance. pending: accumulated un-propagated delta.
-        let mut known: HashMap<XNodeId, EdgeSet> = HashMap::new();
-        let mut pending: HashMap<XNodeId, EdgeSet> = HashMap::new();
-        let mut queue: Vec<XNodeId> = Vec::new();
-        let mut scratch = Vec::new();
-        for x in &seg.xnodes {
-            let (id, set) = self.source(*x);
+        let classes = self.apex.graph().allocated();
+        let mut reached = NodeSet::new(self.g.node_count());
+        // pending[x]: reached nodes ending in class x, not yet propagated.
+        // Invariant: x is queued iff pending[x] is non-empty.
+        let mut pending: Vec<Vec<NodeId>> = vec![Vec::new(); classes];
+        let mut queue: VecDeque<XNodeId> = VecDeque::new();
+        for &x in &seg.xnodes {
+            let (id, set) = self.source(x);
             ExtentScan::pairs(Space::ApexExtent, id, set).run(ctx);
-            let e = set.clone();
-            known.insert(*x, e.clone());
-            pending.insert(*x, e);
-            queue.push(*x);
+            if let Some(slot) = pending.get_mut(x.0 as usize) {
+                slot.extend(set.end_nodes().iter().filter(|&v| reached.insert(v)));
+                if !slot.is_empty() {
+                    queue.push_back(x);
+                }
+            }
         }
         let mut out: Vec<NodeId> = Vec::new();
         // G_APEX node records are page-packed (Space::ApexNode): the
         // first visit of a node charges its record's pages.
-        let mut touched: Vec<bool> = vec![false; self.apex.graph().allocated()];
-        while let Some(x) = queue.pop() {
-            // One fixpoint round is the non-preemptible unit; a tripped
+        let layout = self.node_layout();
+        let mut touched: Vec<bool> = vec![false; classes];
+        while let Some(x) = queue.pop_front() {
+            // One class drain is the non-preemptible unit; a tripped
             // deadline surfaces the arrivals collected so far.
             if !ctx.checkpoint() {
                 break;
             }
-            let Some(delta) = pending.remove(&x) else {
+            let Some(slot) = pending.get_mut(x.0 as usize) else {
                 continue;
             };
-            if delta.is_empty() {
-                continue;
-            }
-            let ends = delta.end_nodes();
-            self.nav_node(x, &mut touched, ctx);
+            let mut delta = std::mem::take(slot);
+            delta.sort_unstable();
+            nav_node(&layout, x, &mut touched, ctx);
             for &(label, y) in self.apex.out_edges(x) {
                 ctx.nav_edges(1);
                 let (id, extent) = self.source(y);
-                let step = exec::semijoin(ctx, ends.into(), Space::ApexExtent, id, extent);
-                if step.is_empty() {
-                    continue;
-                }
+                let step = exec::semijoin(ctx, Ends::Slice(&delta), Space::ApexExtent, id, extent);
                 // Every step pair is a genuine arrival (distance >= 1
-                // from an l_i instance): collect it even if the pair was
-                // already known — e.g. when it was part of the seed and a
-                // cycle re-reaches it (//d//d through a back-edge).
+                // from an l_i instance): collect it even if its node was
+                // already reached — e.g. a seed a cycle re-reaches
+                // (//d//d through a back-edge).
                 if label == last {
                     out.extend(step.iter().map(|p| p.node));
                 }
-                let slot = known.entry(y).or_default();
-                let fresh = step.difference(slot);
-                if fresh.is_empty() {
+                let Some(waiting) = pending.get_mut(y.0 as usize) else {
                     continue;
-                }
-                ctx.note_fixpoint_output(fresh.len() as u64);
-                slot.union_in_place(&fresh, &mut scratch);
-                let waiting = pending.entry(y).or_default();
-                let was_empty = waiting.is_empty();
-                waiting.union_in_place(&fresh, &mut scratch);
-                if was_empty {
-                    queue.push(y);
+                };
+                let before = waiting.len();
+                waiting.extend(step.iter().map(|p| p.node).filter(|&v| reached.insert(v)));
+                let fresh = waiting.len() - before;
+                if fresh > 0 {
+                    ctx.note_fixpoint_output(fresh as u64);
+                    if before == 0 {
+                        queue.push_back(y);
+                    }
                 }
             }
         }
         self.g.sort_doc_order(&mut out);
         out
+    }
+}
+
+/// Charges the first visit of class node `x`'s page-packed record.
+// apex-lint: allow(panic-reachability): `touched` and `layout` are sized n and n+1 over the same class-node count
+fn nav_node(layout: &[u64], x: XNodeId, touched: &mut [bool], ctx: &mut ExecContext<'_>) {
+    let i = x.0 as usize;
+    if !touched[i] {
+        touched[i] = true;
+        IndexNav {
+            space: Space::ApexNode,
+            bytes: layout[i]..layout[i + 1],
+        }
+        .run(ctx);
+    }
+}
+
+/// A set of data nodes as a bitset over node ids.
+struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    /// An empty set over ids `0..n`.
+    fn new(n: usize) -> Self {
+        NodeSet(vec![0; n.div_ceil(64)])
+    }
+
+    /// Adds `v`; true if it was absent. An id past the range reports
+    /// present, so it is never propagated.
+    fn insert(&mut self, v: NodeId) -> bool {
+        let i = v.0 as usize;
+        self.0.get_mut(i / 64).is_some_and(|word| {
+            let bit = 1u64 << (i % 64);
+            let fresh = *word & bit == 0;
+            *word |= bit;
+            fresh
+        })
     }
 }
 
@@ -331,9 +361,12 @@ impl QueryProcessor for ApexProcessor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::{GeneratorConfig, QuerySets};
     use crate::naive::NaiveProcessor;
     use apex::Workload;
     use apex_storage::{OpKind, PageModel};
+    use std::collections::HashSet;
+    use std::time::Instant;
     use xmlgraph::builder::moviedb;
     use xmlgraph::LabelPath;
 
@@ -402,6 +435,89 @@ mod tests {
                 last: g.label_id(b).unwrap(),
             };
             assert_eq!(ap.eval(&q).nodes, nv.eval(&q).nodes, "//{a}//{b}");
+        }
+    }
+
+    /// A cyclic Ged graph (its IDREF edges close cycles through FAM and
+    /// INDI records) with its data table and generated query sets.
+    fn ged() -> (XmlGraph, DataTable, QuerySets) {
+        let g = datagen::gedml(80, 7);
+        assert!(g.edge_count() >= g.node_count(), "reference edges present");
+        let t = DataTable::build(&g, PageModel::default());
+        let cfg = GeneratorConfig {
+            qtype1: 200,
+            qtype2: 40,
+            qtype3: 0,
+            seed: 3,
+            ..Default::default()
+        };
+        let qs = QuerySets::generate(&g, &t, cfg);
+        (g, t, qs)
+    }
+
+    /// Nodes reachable by at least one edge from `seeds`, minus `seeds`.
+    fn reached_beyond(g: &XmlGraph, seeds: &HashSet<NodeId>) -> usize {
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut stack: Vec<NodeId> = seeds
+            .iter()
+            .flat_map(|&v| g.out_edges(v).iter().map(|e| e.to))
+            .collect();
+        while let Some(v) = stack.pop() {
+            if seen.insert(v) {
+                stack.extend(g.out_edges(v).iter().map(|e| e.to));
+            }
+        }
+        seen.difference(seeds).count()
+    }
+
+    #[test]
+    fn qtype2_propagates_each_reached_node_once() {
+        let (g, t, qs) = ged();
+        let nv = NaiveProcessor::new(&g, &t);
+        let apex0 = Apex::build_initial(&g);
+        let mut refined = Apex::build_initial(&g);
+        refined.refine(&g, &qs.workload, 0.005);
+        assert!(refined.graph().allocated() > apex0.graph().allocated());
+        for idx in [&apex0, &refined] {
+            let ap = ApexProcessor::new(&g, idx, &t);
+            for q in &qs.qtype2 {
+                let Query::AncestorDescendant { first, .. } = *q else {
+                    panic!("generated QTYPE2 query expected");
+                };
+                let seeds: HashSet<NodeId> = g
+                    .edges()
+                    .filter(|&(_, l, _)| l == first)
+                    .map(|(_, _, to)| to)
+                    .collect();
+                let out = ap.eval(q);
+                assert_eq!(out.nodes, nv.eval(q).nodes, "{}", q.render(&g));
+                // join_output of IndexNav counts fresh nodes: every node
+                // reached beyond the l_i targets is counted exactly once.
+                assert_eq!(
+                    out.cost.ops.get(OpKind::IndexNav).join_output(),
+                    reached_beyond(&g, &seeds) as u64,
+                    "{}",
+                    q.render(&g)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn qtype2_deadline_interrupts_with_a_subset() {
+        let (g, t, qs) = ged();
+        let idx = Apex::build_initial(&g);
+        let nv = NaiveProcessor::new(&g, &t);
+        for q in &qs.qtype2 {
+            let expect = nv.eval(q).nodes;
+            let cut = ApexProcessor::new(&g, &idx, &t)
+                .with_deadline(Instant::now())
+                .eval(q);
+            assert!(cut.interrupted, "{}", q.render(&g));
+            assert!(cut.nodes.iter().all(|n| expect.contains(n)));
+            let full = ApexProcessor::new(&g, &idx, &t).eval(q);
+            assert!(!full.interrupted);
+            assert_eq!(full.nodes, expect, "{}", q.render(&g));
         }
     }
 

@@ -158,9 +158,10 @@ impl<'a> ExecContext<'a> {
             .record(OpKind::IndexNav, false, [0, n, 0, 0, 0, 0, 0, 0]);
     }
 
-    /// Records `n` result pairs accumulated by a dataflow fixpoint
-    /// step, attributed to [`OpKind::IndexNav`] without counting an
-    /// invocation.
+    /// Records `n` fresh nodes a dataflow fixpoint step reached — data
+    /// nodes reached for the first time in this query, each counted once
+    /// however many classes or steps arrive at it — attributed to
+    /// [`OpKind::IndexNav`] without counting an invocation.
     pub fn note_fixpoint_output(&mut self, n: u64) {
         self.cost.join_output += n;
         self.cost

@@ -53,7 +53,8 @@ pub enum Plan {
         /// The planner's predicted total cost for the chosen order.
         predicted_total: u64,
     },
-    /// QTYPE2: dataflow from the `first`-labeled classes.
+    /// QTYPE2: dataflow from the `first`-labeled classes, propagating
+    /// each reached data node once.
     AncestorDescendant {
         /// Number of seed classes (incoming label = `l_i`).
         start_classes: usize,
@@ -88,7 +89,7 @@ impl Plan {
                     "  -> dataflow from {start_classes} class node(s), {seed_pairs} seed pair(s)\n"
                 ));
                 s.push_str(
-                    "  -> Semijoin(merge|gallop|block-skip, adaptive) per G_APEX edge until fixpoint\n",
+                    "  -> Semijoin(merge|gallop|block-skip, adaptive) per G_APEX edge from a FIFO class worklist; each reached data node propagates once\n",
                 );
             }
             Plan::PathJoin {

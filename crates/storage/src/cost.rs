@@ -114,6 +114,11 @@ impl OpCost {
     pub fn extent_pairs(&self) -> u64 {
         self.scalars[2]
     }
+
+    /// Result elements produced by this operator.
+    pub fn join_output(&self) -> u64 {
+        self.scalars[4]
+    }
 }
 
 /// Per-operator attribution of the scalar counters.

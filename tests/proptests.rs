@@ -133,19 +133,25 @@ proptest! {
         }
     }
 
-    /// QTYPE2 equivalence on random graphs.
+    /// QTYPE2 equivalence on random graphs, over a workload-refined APEX:
+    /// refinement splits classes, so a data node can end in several
+    /// classes and the fixpoint's one-propagation-per-node rule is tested
+    /// where it matters.
     #[test]
     fn qtype2_equivalence(
         rg in rand_graph(30),
         pairs in proptest::collection::vec((0..ALPHABET.len(), 0..ALPHABET.len()), 1..8),
-        min_sup in 0.05f64..0.9,
+        workload_paths in rand_paths(3, 8),
+        min_sup in 0.01f64..0.9,
     ) {
         let g = materialize(&rg);
         let table = DataTable::build(&g, PageModel::default());
         let naive = NaiveProcessor::new(&g, &table);
         let sdg = DataGuide::build(&g);
         let mut apex = Apex::build_initial(&g);
-        let wl = Workload::from_paths(vec![]);
+        let wl = Workload::from_paths(
+            workload_paths.iter().filter_map(|p| to_label_path(&g, p)).collect(),
+        );
         apex.refine(&g, &wl, min_sup);
         let ap = ApexProcessor::new(&g, &apex, &table);
         let gp = GuideProcessor::new(&g, &sdg, &table);
