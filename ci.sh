@@ -70,19 +70,6 @@ kernel_smoke() {
     rm -rf "$out"
 }
 
-# The planner benchmark doubles as the cost-based-planning smoke test:
-# it runs the same generated + stress-chain query mix under the planned
-# and both fixed join orders on the three small families and *asserts*
-# the planner's guarantee (planned ≤ 1.1x the best fixed order on every
-# family, strictly cheaper on at least one). Runs in a temp dir so its
-# BENCH_planner.json never lands in the tree.
-plan_smoke() {
-    local out
-    out=$(mktemp -d)
-    (cd "$out" && "$OLDPWD/target/release/planner")
-    rm -rf "$out"
-}
-
 # The benchmark (perfbench/) is a cargo workspace of its own that builds
 # the library crates from source through path dependencies. Building it
 # and running its unit tests here makes a library change that breaks the
@@ -143,7 +130,6 @@ rollout_smoke() {
 run cargo build --release --offline --workspace
 run cargo test --offline --workspace --quiet
 run kernel_smoke
-run plan_smoke
 run perfbench_check
 run net_smoke
 run rollout_smoke

@@ -38,7 +38,7 @@
 //!
 //! ```text
 //! > //actor/name                 evaluate a query (QTYPE1/2/3 syntax)
-//! > explain //actor/name         show the plan without executing
+//! > explain //actor/name         show the plan, then run it on a private pool
 //! > tune 0.005                   refine with the recorded workload
 //! > workload                     show the recorded query window
 //! > stats                        index statistics
@@ -314,22 +314,7 @@ fn main() {
                 },
                 Err(e) => println!("cannot open {path}: {e}"),
             },
-            Ok(Command::Explain(text)) => match Query::parse(&g, &text) {
-                Ok(q) => {
-                    print!(
-                        "{}",
-                        explain_apex(&index, &q).render_with_buffer(&g, &q, &buf.stats())
-                    );
-                    // Execute through the planner to close the loop:
-                    // predicted vs actual per-operator cost plus the
-                    // mispredict ratio.
-                    let qp = ApexProcessor::with_buffer(&g, &index, &table, buf.clone());
-                    if let Some(rep) = qp.eval(&q).plan {
-                        print!("{}", rep.render());
-                    }
-                }
-                Err(e) => println!("parse error: {e}"),
-            },
+            Ok(Command::Explain(text)) => print!("{}", explain(&g, &index, &table, &buf, &text)),
             Ok(Command::Serve(n)) => {
                 generation += serve(&g, &table, &buf, &mut index, &mut monitor, n);
             }
@@ -385,6 +370,28 @@ fn main() {
         }
     }
     println!("bye");
+}
+
+/// The shell's `explain`: the plan, rendered with the session pool's
+/// state, then the predicted-vs-actual table of one evaluation on a
+/// private pool. The session pool is read, never charged, so `explain`
+/// leaves no hits or misses behind for later evals or `buffer`.
+fn explain(
+    g: &XmlGraph,
+    index: &Apex,
+    table: &DataTable,
+    buf: &BufferHandle,
+    text: &str,
+) -> String {
+    let q = match Query::parse(g, text) {
+        Ok(q) => q,
+        Err(e) => return format!("parse error: {e}\n"),
+    };
+    let mut s = explain_apex(index, &q).render_with_buffer(g, &q, &buf.stats());
+    if let Some(rep) = ApexProcessor::new(g, index, table).eval(&q).plan {
+        s.push_str(&rep.render());
+    }
+    s
 }
 
 /// Replays the recorded workload window (cycled to `n` queries) through
@@ -986,5 +993,32 @@ fn load_graph(args: &[String]) -> Result<XmlGraph, String> {
         "flix" | "flixml" => Ok(datagen::flixml(size.max(30), 42)),
         "ged" | "gedml" => Ok(datagen::gedml(size.max(60), 42)),
         other => Err(format!("unknown dataset `{other}`")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn explain_leaves_the_session_pool_untouched() {
+        let g = xmlgraph::builder::moviedb();
+        let index = Apex::build_initial(&g);
+        let table = DataTable::build(&g, PageModel::default());
+        let buf = BufferHandle::unbounded();
+        let text = "//director/movie/title";
+        // Cold pool: explain must not fault the query's pages into it.
+        let out = explain(&g, &index, &table, &buf, text);
+        assert!(out.contains("mispredict ratio"), "{out}");
+        assert_eq!(buf.stats(), Default::default());
+        assert_eq!(buf.objects(), 0);
+        // Warm pool: explain must not score hits in it either.
+        let q = Query::parse(&g, text).unwrap();
+        ApexProcessor::with_buffer(&g, &index, &table, buf.clone()).eval(&q);
+        let before = buf.stats();
+        assert!(before.misses > 0);
+        explain(&g, &index, &table, &buf, text);
+        assert_eq!(buf.stats(), before);
+        assert!(explain(&g, &index, &table, &buf, "//").starts_with("parse error"));
     }
 }

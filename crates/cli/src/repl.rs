@@ -5,7 +5,7 @@
 pub enum Command {
     /// Evaluate a query (the default for `//…` input).
     Eval(String),
-    /// Show the plan only.
+    /// Show the plan, then run it once on a private buffer pool.
     Explain(String),
     /// Refine with the recorded workload at the given minSup.
     Tune(f64),
@@ -44,7 +44,9 @@ pub enum ReplError {
 /// Shell help text.
 pub const HELP: &str = "\
   //a/b  //a//b  //a/b[text() = \"v\"]   evaluate a query
-  explain <query>                        show the plan without executing
+  explain <query>                        show the plan, then run it once on a
+                                         private pool (predicted vs actual);
+                                         the session pool is left untouched
   tune <minSup>                          refine with the recorded workload
   workload | stats | required | labels   inspect state
   buffer                                 cross-query buffer-pool state

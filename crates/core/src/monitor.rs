@@ -5,9 +5,8 @@
 //! re-runs extraction + update "whenever query workloads change …
 //! (e.g., by request or periodical)". [`WorkloadMonitor`] is that
 //! component: it records incoming label-path queries in a sliding
-//! window and signals when a refresh is due, either periodically (every
-//! N queries) or on *drift* (the windowed support of currently-required
-//! multi-label paths decays below the threshold).
+//! window and signals when a refresh is due: periodically (every N
+//! queries) or by request.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,7 +19,7 @@ use crate::wal::Wal;
 use crate::workload::Workload;
 
 /// Aggregated predicted-vs-actual operator cost, fed back by every
-/// executed plan (the feedback half of the cost-based planner): per
+/// executed plan (the feedback half of the planner): per
 /// [`OpKind`], the work units the planner forecast and the work the
 /// execution layer actually attributed. The mispredict ratio over this
 /// aggregate is what `explain` and the serving tier report, and what a
@@ -88,14 +87,6 @@ impl PlanFeedback {
 pub enum RefreshPolicy {
     /// Refine after every `n` recorded queries ("periodical").
     EveryN(usize),
-    /// Refine only when [`WorkloadMonitor::refresh_due`] detects drift:
-    /// some multi-label required path's windowed support fell below
-    /// `min_sup × slack`, or a non-required subpath's support rose above
-    /// `min_sup / slack`.
-    OnDrift {
-        /// Tolerance factor (> 1.0); larger = fewer refreshes.
-        slack: f64,
-    },
     /// Never refresh automatically (by request only).
     Manual,
 }
@@ -263,55 +254,18 @@ impl WorkloadMonitor {
         (wl, self.min_sup)
     }
 
-    /// Decides whether a refresh is due for `index` (per policy).
-    pub fn refresh_due(&self, g: &XmlGraph, index: &Apex) -> bool {
-        if self.window.is_empty() {
-            return false;
-        }
+    /// Decides whether a refresh is due (per policy).
+    pub fn refresh_due(&self) -> bool {
         match self.policy {
             RefreshPolicy::Manual => false,
-            RefreshPolicy::EveryN(n) => self.since_refresh >= n,
-            RefreshPolicy::OnDrift { slack } => self.drift_detected(g, index, slack),
+            RefreshPolicy::EveryN(n) => !self.window.is_empty() && self.since_refresh >= n,
         }
-    }
-
-    /// Drift check: compares the windowed support of the index's current
-    /// multi-label required paths (decayed?) and of the window's hottest
-    /// subpaths (newly frequent?) against `min_sup`.
-    fn drift_detected(&self, g: &XmlGraph, index: &Apex, slack: f64) -> bool {
-        assert!(slack >= 1.0, "slack must be >= 1.0");
-        let wl = self.workload();
-        // Required multi-label paths whose support collapsed.
-        for rendered in index.required_paths(g) {
-            if !rendered.contains('.') {
-                continue;
-            }
-            let Some(path) = LabelPath::parse(g, &rendered) else {
-                continue;
-            };
-            if wl.support(&path) < self.min_sup / slack {
-                return true;
-            }
-        }
-        // Newly hot subpaths not yet required.
-        let required = index.required_paths(g);
-        for q in wl.iter() {
-            for sub in q.subpaths() {
-                if sub.len() < 2 {
-                    continue;
-                }
-                if wl.support(&sub) >= self.min_sup * slack && !required.contains(&sub.render(g)) {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Runs a refresh if the policy says so; returns the number of
     /// update steps (`None` if no refresh happened).
     pub fn maybe_refresh(&mut self, g: &XmlGraph, index: &mut Apex) -> Option<usize> {
-        if !self.refresh_due(g, index) {
+        if !self.refresh_due() {
             return None;
         }
         Some(self.refresh(g, index))
@@ -375,41 +329,6 @@ mod tests {
         assert!(steps > 0);
         assert!(idx.required_paths(&g).contains(&"actor.name".to_string()));
         assert_eq!(m.since_refresh(), 0);
-    }
-
-    #[test]
-    fn drift_policy_detects_new_hot_path() {
-        let g = moviedb();
-        let idx = Apex::build_initial(&g); // only singles required
-        let mut m = WorkloadMonitor::new(100, 0.4, RefreshPolicy::OnDrift { slack: 1.2 });
-        assert!(!m.refresh_due(&g, &idx));
-        for _ in 0..10 {
-            m.record(path(&g, "director.movie"));
-        }
-        assert!(m.refresh_due(&g, &idx), "hot multi-label path must trigger");
-    }
-
-    #[test]
-    fn drift_policy_detects_decayed_required_path() {
-        let g = moviedb();
-        let mut idx = Apex::build_initial(&g);
-        let mut m = WorkloadMonitor::new(10, 0.4, RefreshPolicy::OnDrift { slack: 1.2 });
-        for _ in 0..10 {
-            m.record(path(&g, "actor.name"));
-        }
-        m.refresh(&g, &mut idx);
-        assert!(idx.required_paths(&g).contains(&"actor.name".to_string()));
-        assert!(!m.refresh_due(&g, &idx), "steady workload: no drift");
-        // Workload shifts entirely: actor.name decays out of the window.
-        for _ in 0..10 {
-            m.record(path(&g, "title"));
-        }
-        assert!(
-            m.refresh_due(&g, &idx),
-            "decayed required path must trigger"
-        );
-        m.refresh(&g, &mut idx);
-        assert!(!idx.required_paths(&g).contains(&"actor.name".to_string()));
     }
 
     #[test]

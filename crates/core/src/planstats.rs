@@ -1,5 +1,5 @@
-//! Live planning statistics — the statistics layer of the cost-based
-//! planner (`apex_query::plan`).
+//! Live planning statistics — the statistics layer of the planner
+//! (`apex_query::plan`).
 //!
 //! A [`PlanStats`] is an immutable per-generation summary of everything
 //! the planner needs to predict operator costs *without touching the

@@ -18,8 +18,8 @@
 //! ## Rule catalog
 //!
 //! See [`rules::RULES`] and `crates/lint/RULES.md`. The per-file rules:
-//! `Cost` I/O counters may only be written by `apex-storage` and the
-//! executor/planner (`cost-io-writes`); library code is panic-free
+//! `Cost` I/O counters may only be written by `apex-storage`, the
+//! executor and the WAL recovery scan (`cost-io-writes`); library code is panic-free
 //! (`no-panic`) and print-free (`no-print`); semijoin kernel bodies
 //! never allocate (`hot-path-alloc`); every crate root forbids `unsafe`
 //! (`forbid-unsafe`); only the CLI may call `process::exit` (`no-exit`);

@@ -10,7 +10,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `cost-io-writes` | `Cost` I/O counters are written only by the storage layer (incl. `storage::block` / `storage::kernels`), the shared executor, the planner's attributed operators, and `core::wal`'s recovery scan |
+//! | `cost-io-writes` | `Cost` I/O counters are written only by the storage layer (incl. `storage::block` / `storage::kernels`), the shared executor, and `core::wal`'s recovery scan |
 //! | `no-panic` | library code neither `.unwrap()`s, `.expect()`s nor `panic!`s (per-site; the serving-root files are covered transitively by `panic-reachability` instead) |
 //! | `panic-reachability` | nothing reachable from the serving roots (`net::server`, `core::serve`, `core::recover`, `query::exec`) can panic — `panic!`, `unwrap`, `expect`, or `[…]` indexing |
 //! | `lock-order` | the lock-acquisition graph is cycle-free and nothing blocks while holding two guards |
@@ -156,17 +156,13 @@ fn cost_io_writes(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
     let ctx = &file.ctx;
     // The whole storage crate is a permitted writer — that includes the
     // compressed block encoder (`storage::block`) and the semijoin
-    // kernels (`storage::kernels`) the executor charges from. The
-    // cost-based planner (`query::plan`) is the executor's peer: its
-    // backward join order runs reverse semijoins that fault blocks and
-    // charge pages/pairs through the same attributed closures.
+    // kernels (`storage::kernels`) the executor charges from.
     // `core::wal` is the one non-query writer: recovery's segment scan
     // charges `pages_read` for the log pages it faults, so a replayed
     // boot reports its I/O through the same attributed counters as a
     // served query.
     if ctx.crate_dir == "storage"
         || ctx.rel_path == "crates/query/src/exec.rs"
-        || ctx.rel_path == "crates/query/src/plan.rs"
         || ctx.rel_path == "crates/core/src/wal.rs"
     {
         return;

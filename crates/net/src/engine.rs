@@ -39,7 +39,7 @@ pub struct ExecOutcome {
     pub pages_read: u64,
     /// Join work charged to this query (logical cost model).
     pub join_work: u64,
-    /// Digest of the cost-based plan that served the query (0 when no
+    /// Digest of the plan that served the query (0 when no
     /// planner ran — parse errors, unplanned query shapes).
     pub plan_digest: u64,
 }
@@ -155,7 +155,7 @@ impl Engine {
                 }
                 if let Some(path) = path {
                     m.record(path);
-                    m.refresh_due(&self.g, snap.index())
+                    m.refresh_due()
                 } else {
                     false
                 }

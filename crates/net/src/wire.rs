@@ -32,7 +32,7 @@
 //! | 8 | pages read (cost summary) |
 //! | 8 | join work (cost summary) |
 //! | 8 | server-side service time in µs |
-//! | 8 | plan digest (0 = no cost-based plan ran) |
+//! | 8 | plan digest (0 = no plan ran) |
 //!
 //! Decoding is total: every malformed input maps to a [`WireError`]
 //! (truncated frame, oversized length prefix, unknown version or kind,
@@ -153,7 +153,7 @@ pub struct Response {
     pub join_work: u64,
     /// Server-side service time in microseconds (queue wait excluded).
     pub server_us: u64,
-    /// Digest of the cost-based plan that served the query (0 when no
+    /// Digest of the plan that served the query (0 when no
     /// planner ran — sheds, parse errors). Load generators correlate
     /// this with tail latency to attribute slow requests to planning
     /// choices across generations.

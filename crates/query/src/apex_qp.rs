@@ -30,7 +30,7 @@ use xmlgraph::{LabelId, NodeId, XmlGraph};
 use crate::ast::Query;
 use crate::batch::{QueryOutput, QueryProcessor};
 use crate::exec::{self, DataProbe, ExecContext, ExtentScan, IndexNav};
-use crate::plan::{self, JoinOrderPolicy, PlanReport, Planner};
+use crate::plan::{self, PlanReport, Planner};
 
 /// Byte stride separating the page-packed node layouts of successive
 /// index generations inside [`Space::ApexNode`] (1 TiB per generation —
@@ -60,9 +60,6 @@ pub struct ApexProcessor<'a> {
     /// the published snapshot's stats; `None` falls back to the live
     /// extents' cheap accessors — same numbers, read at plan time).
     stats: Option<&'a PlanStats>,
-    /// Join-order selection: cost-based by default; benches force the
-    /// fixed orders through this.
-    order: JoinOrderPolicy,
 }
 
 impl<'a> ApexProcessor<'a> {
@@ -102,7 +99,6 @@ impl<'a> ApexProcessor<'a> {
             policy: KernelPolicy::Adaptive,
             deadline: None,
             stats: None,
-            order: JoinOrderPolicy::Planned,
         }
     }
 
@@ -128,14 +124,7 @@ impl<'a> ApexProcessor<'a> {
         self
     }
 
-    /// Forces a join-order policy (benches compare the planner against
-    /// the fixed orders; production uses the default cost-based choice).
-    pub fn with_join_order(mut self, order: JoinOrderPolicy) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// The cost-based planner for this processor's index view.
+    /// The planner for this processor's index view.
     fn planner(&self) -> Planner<'a> {
         Planner::new(self.apex, self.stats, self.policy, self.tag)
     }
@@ -150,9 +139,8 @@ impl<'a> ApexProcessor<'a> {
     /// report.
     ///
     /// The §6.1 decreasing-j segmentation runs inside the planner, which
-    /// then chooses the join order (forward, or a backward reduction of
-    /// the last stages) and the kernels from the statistics snapshot; a
-    /// forward plan executes bit-for-bit the legacy seed-union +
+    /// forecasts the kernels and cost from the statistics snapshot; the
+    /// plan executes bit-for-bit the legacy seed-union +
     /// [`crate::exec::MultiwayJoin`] pipeline.
     fn eval_path_edges(
         &self,
@@ -160,7 +148,7 @@ impl<'a> ApexProcessor<'a> {
         ctx: &mut ExecContext<'_>,
     ) -> (EdgeSet, PlanReport) {
         let planner = self.planner();
-        let plan = planner.plan_path(labels, self.order);
+        let plan = planner.plan_path(labels);
         planner.execute_path(&plan, ctx)
     }
 

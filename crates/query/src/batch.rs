@@ -29,7 +29,7 @@ pub struct QueryOutput {
     /// complete results).
     pub interrupted: bool,
     /// Predicted-vs-actual plan report, when the query ran through the
-    /// cost-based planner (`None` for the naive oracle).
+    /// planner (`None` for the naive oracle).
     pub plan: Option<crate::plan::PlanReport>,
 }
 
@@ -300,7 +300,7 @@ pub fn run_adaptive(
                     }
                     if let Some(path) = path {
                         m.record(path);
-                        m.refresh_due(g, snap.index())
+                        m.refresh_due()
                     } else {
                         false
                     }

@@ -129,10 +129,8 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Runs `body` and attributes every scalar counter it moves to
-    /// `kind`, counting one invocation. Shared with the planner's
-    /// executor ([`crate::plan`]), which runs its backward pass through
-    /// the same attribution discipline as the built-in operators.
-    pub(crate) fn attributed<T>(
+    /// `kind`, counting one invocation.
+    fn attributed<T>(
         &mut self,
         kind: OpKind,
         body: impl FnOnce(&mut Cost, &BufferHandle, &mut ExecScratch) -> T,
@@ -323,12 +321,7 @@ impl Semijoin<'_> {
     /// [`OpKind::SemijoinMerge`] / [`OpKind::SemijoinGallop`] /
     /// [`OpKind::SemijoinSkip`] according to the kernel that ran.
     pub fn run(self, ctx: &mut ExecContext<'_>) -> EdgeSet {
-        let kind = match self.kernel {
-            Kernel::Merge => OpKind::SemijoinMerge,
-            Kernel::Gallop => OpKind::SemijoinGallop,
-            Kernel::BlockSkip => OpKind::SemijoinSkip,
-        };
-        ctx.attributed(kind, |cost, buf, scratch| {
+        ctx.attributed(self.kernel.op_kind(), |cost, buf, scratch| {
             let report =
                 kernels::semijoin_into(self.kernel, self.extent, self.ends, &mut scratch.semi);
             let bx = self.extent.blocks();
@@ -547,11 +540,7 @@ mod tests {
                 .collect(),
         );
         let ends = [NodeId(10), NodeId(4_000)];
-        let adaptive_kind = match KernelPolicy::Adaptive.choose(ends.len(), &extent) {
-            Kernel::Merge => OpKind::SemijoinMerge,
-            Kernel::Gallop => OpKind::SemijoinGallop,
-            Kernel::BlockSkip => OpKind::SemijoinSkip,
-        };
+        let adaptive_kind = KernelPolicy::Adaptive.choose(ends.len(), &extent).op_kind();
         assert_ne!(
             adaptive_kind,
             OpKind::SemijoinMerge,

@@ -4,8 +4,11 @@
 //! shows how the query path was segmented against `H_APEX` (the
 //! decreasing-`j` lookup loop), which class nodes feed each segment, and
 //! whether the query is answered *directly* from one extent union (the
-//! whole path is a required path) or needs a join chain. Useful for
-//! understanding why a particular `minSup` setting helps a workload.
+//! whole path is a required path) or needs a join chain. Path plans are
+//! rendered from the planner's own [`crate::plan::PathPlan`], so the
+//! segments, kernels and predicted total shown are the ones execution
+//! runs. Useful for understanding why a particular `minSup` setting
+//! helps a workload.
 
 use apex::Apex;
 use apex_storage::bufmgr::BufferStats;
@@ -13,7 +16,7 @@ use apex_storage::KernelPolicy;
 use xmlgraph::{LabelId, XmlGraph};
 
 use crate::ast::Query;
-use crate::plan::{JoinOrderPolicy, Planner};
+use crate::plan::Planner;
 
 /// One segment of a QTYPE1 plan: the query prefix `labels[..prefix_len]`
 /// resolved through `H_APEX`.
@@ -28,10 +31,9 @@ pub struct SegmentPlan {
     /// True if the prefix is itself a required path (exact — terminates
     /// the segmentation loop).
     pub exact: bool,
-    /// Predicted semijoin kernel for joining into this segment (the
-    /// adaptive policy applied to the previous segment's pair count and
-    /// this segment's largest extent). `None` for the seed segment,
-    /// which is unioned, not joined.
+    /// The planner's kernel for joining into this segment. `None` for
+    /// the seed segment, which is unioned, not joined, and for every
+    /// segment of a statically empty plan.
     pub kernel: Option<&'static str>,
 }
 
@@ -47,10 +49,10 @@ pub enum Plan {
         joins: usize,
         /// QTYPE3 only: the value predicate requiring table probes.
         value_filter: bool,
-        /// Join order chosen by the cost-based planner
-        /// ([`crate::plan::Planner`]): `forward` or `backward(r)`.
-        order: String,
-        /// The planner's predicted total cost for the chosen order.
+        /// Some segment has zero pairs: the answer is empty and
+        /// execution reads nothing.
+        static_empty: bool,
+        /// The planner's predicted total cost.
         predicted_total: u64,
     },
     /// QTYPE2: dataflow from the `first`-labeled classes, propagating
@@ -96,7 +98,7 @@ impl Plan {
                 segments,
                 joins,
                 value_filter,
-                order,
+                static_empty,
                 predicted_total,
             } => {
                 for seg in segments {
@@ -112,15 +114,15 @@ impl Plan {
                         }
                     ));
                 }
-                if *joins == 0 {
+                if *static_empty {
+                    s.push_str("  -> statically empty: a segment has no pairs, nothing is read\n");
+                } else if *joins == 0 {
                     s.push_str("  -> ExtentUnion: direct answer from extents (no joins)\n");
                 } else {
                     s.push_str(&format!(
                         "  -> MultiwayJoin: ExtentUnion seed + {joins} Semijoin step(s), kernels as above\n"
                     ));
-                    s.push_str(&format!(
-                        "  -> join order: {order} (cost-based, predicted total {predicted_total})\n"
-                    ));
+                    s.push_str(&format!("  -> predicted total {predicted_total}\n"));
                 }
                 if *value_filter {
                     s.push_str("  -> DataProbe value filter\n");
@@ -160,62 +162,33 @@ pub fn explain_apex(apex: &Apex, q: &Query) -> Plan {
 }
 
 fn plan_path(apex: &Apex, labels: &[LabelId], value_filter: bool) -> Plan {
-    let n = labels.len();
-    let mut raw = Vec::new();
-    let mut exact_found = false;
-    for j in (1..=n).rev() {
-        let seg = apex.segment_nodes(&labels[..j]);
-        if seg.exact {
-            exact_found = true;
-        }
-        raw.push((j, seg));
-        if exact_found {
-            break;
-        }
-    }
-    if !exact_found {
+    // The planner's plan over live extent statistics (`explain` has no
+    // snapshot), so what is rendered is what execution runs.
+    let plan = Planner::new(apex, None, KernelPolicy::Adaptive, 0).plan_path(labels);
+    if plan.stages.is_empty() {
         return Plan::Empty;
     }
-    raw.reverse(); // exact seed first — evaluation order
-    let mut segments: Vec<SegmentPlan> = Vec::new();
-    for (i, (j, seg)) in raw.iter().enumerate() {
-        let extent_pairs = seg.xnodes.iter().map(|&x| apex.extent(x).len()).sum();
-        // Predict the join kernel from the previous segment's pair count
-        // (an upper bound on the ends flowing in) against this segment's
-        // largest extent — the same rule the executor applies.
-        let kernel = if i == 0 {
-            None
-        } else {
-            let est_ends = segments[i - 1].extent_pairs;
-            seg.xnodes
-                .iter()
-                .max_by_key(|&&x| apex.extent(x).len())
-                .map(|&x| {
-                    KernelPolicy::Adaptive
-                        .choose(est_ends, apex.extent(x))
-                        .name()
-                })
-        };
-        segments.push(SegmentPlan {
-            prefix_len: *j,
-            classes: seg.xnodes.len(),
-            extent_pairs,
-            exact: seg.exact,
-            kernel,
-        });
-    }
-    let joins = segments.len() - 1;
-    // Ask the cost-based planner which join order it would pick for
-    // this chain (over live extent statistics — `explain` has no
-    // snapshot), so the rendered plan matches what execution runs.
-    let planned = Planner::new(apex, None, KernelPolicy::Adaptive, 0)
-        .plan_path(labels, JoinOrderPolicy::Planned);
+    // Segmentation stops at the first exact prefix, so stage `i` covers
+    // the prefix `first + i` and only the seed is exact.
+    let first = labels.len() + 1 - plan.stages.len();
+    let segments = plan
+        .stages
+        .iter()
+        .enumerate()
+        .map(|(i, classes)| SegmentPlan {
+            prefix_len: first + i,
+            classes: classes.len(),
+            extent_pairs: classes.iter().map(|&x| apex.extent(x).len()).sum(),
+            exact: i == 0,
+            kernel: i.checked_sub(1).and_then(|b| plan.kernels.get(b).copied()),
+        })
+        .collect();
     Plan::PathJoin {
         segments,
-        joins,
+        joins: plan.stages.len() - 1,
         value_filter,
-        order: planned.order.label(),
-        predicted_total: planned.predicted_total,
+        static_empty: plan.static_empty,
+        predicted_total: plan.predicted_total,
     }
 }
 
@@ -254,7 +227,6 @@ mod tests {
             segments,
             joins,
             value_filter,
-            order,
             ..
         } = &plan
         else {
@@ -271,12 +243,8 @@ mod tests {
         assert!(segments.iter().skip(1).all(|s| s.kernel.is_some()));
         let rendered = plan.render(&g, &q);
         assert!(rendered.contains("[semijoin: "), "{rendered}");
-        // The cost-based planner's chosen join order is part of the plan.
-        assert!(
-            order.as_str() == "forward" || order.starts_with("backward("),
-            "{order}"
-        );
-        assert!(rendered.contains("join order: "), "{rendered}");
+        // The planner's forecast is part of the plan.
+        assert!(rendered.contains("predicted total "), "{rendered}");
     }
 
     #[test]

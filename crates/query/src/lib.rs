@@ -50,4 +50,4 @@ pub use batch::{
 pub use exec::ExecContext;
 pub use explain::{explain_apex, Plan, SegmentPlan};
 pub use generator::{GeneratorConfig, QuerySets};
-pub use plan::{JoinOrder, JoinOrderPolicy, OpForecast, PathPlan, PlanReport, Planner};
+pub use plan::{OpForecast, PathPlan, PlanReport, Planner};

@@ -1,102 +1,39 @@
-//! Cost-based query planning over live statistics.
+//! Query planning over live statistics.
 //!
-//! The planner sits between parsing and [`crate::exec`]: instead of the
-//! fixed left-to-right §6.1 pipeline, a QTYPE1/3 segment chain is first
-//! *planned* against a [`PlanStats`] snapshot (or, absent one, the same
-//! numbers read through the `EdgeSet` cheap accessors), then executed.
+//! The planner sits between parsing and [`crate::exec`]. A QTYPE1/3
+//! chain is evaluated the one way §6.1 describes: segment the path
+//! against `H_APEX` from the longest prefix down, union the exact
+//! seed's extents, then semijoin forward through the later segments
+//! ([`MultiwayJoin`]).
+//! Planning adds three things to that order, all from a [`PlanStats`]
+//! snapshot (or, absent one, the same numbers read through the
+//! `EdgeSet` cheap accessors):
 //!
-//! The plan space is deliberately small and fully enumerable:
-//!
-//! * [`JoinOrder::Forward`] — the existing seed-union + forward
-//!   semijoin chain (delegates to [`MultiwayJoin`], so a forward plan is
-//!   *bit-for-bit* the legacy execution);
-//! * [`JoinOrder::BackwardThenForward`] — a Yannakakis-style reduction:
-//!   the last `reduce` stage boundaries are semijoined *backward*
-//!   (`reverse_semijoin_into`, each stage keeping only pairs whose node
-//!   parents something downstream), then the usual forward pass runs
-//!   with the reduced stages resident in memory. `reduce = k` is the
-//!   classic full right-to-left reduction.
-//!
-//! For every candidate the planner predicts per-operator work and pages
-//! from extent cardinalities, block counts, distinct-end hints and
-//! parent/node interval overlap — the same statistics the kernels'
-//! adaptive policy consults at run time — and picks the cheapest
-//! (ties and near-ties go forward, the legacy order). A stage with an
-//! exactly-zero cardinality short-circuits planning entirely: the plan
-//! is *statically empty* and executes for free.
-//!
-//! Execution records a [`PlanReport`]: the predicted per-operator cost
-//! column next to the actual one (diffed from the [`OpBreakdown`]
-//! around execution), a stable digest of the chosen shape, and the
-//! mispredict ratio `Σ|predicted − actual| / Σactual` that the
-//! feedback layer pushes back into the workload monitor.
+//! * **Static emptiness.** A stage with exactly zero pairs (or a first
+//!   label the index does not know) proves the answer empty before any
+//!   page is read; such a plan executes for free.
+//! * **A forecast.** Per-operator work and pages are predicted from
+//!   extent cardinalities, block counts, distinct-end hints and
+//!   parent/node interval overlap. The kernel of each join boundary
+//!   comes from [`KernelPolicy::pick`], the same rule the executor
+//!   applies, so `explain` can render the plan's kernels as-is.
+//! * **Feedback.** Execution records a [`PlanReport`]: the predicted
+//!   per-operator cost column next to the actual one (diffed from the
+//!   [`OpBreakdown`] around execution), a stable digest of the plan
+//!   shape, and the mispredict ratio `Σ|predicted − actual| / Σactual`
+//!   that the feedback layer pushes back into the workload monitor.
 
 use apex::{Apex, PlanStats, XNodeId};
 use apex_storage::bufmgr::Space;
-use apex_storage::kernels::reverse_semijoin_into;
 use apex_storage::{EdgeSet, Kernel, KernelPolicy, OpBreakdown, OpKind};
 use xmlgraph::{LabelId, NodeId};
 
-use crate::exec::{self, ExecContext, ExtentScan, ExtentUnion, MultiwayJoin};
+use crate::exec::{ExecContext, MultiwayJoin};
 
-/// How a planned QTYPE1 chain is ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinOrder {
-    /// Seed union, then semijoin forward — the legacy §6.1 pipeline.
-    Forward,
-    /// Reduce the last `reduce` stage boundaries backward first, then
-    /// run the forward pass over the reduced (in-memory) stages.
-    BackwardThenForward {
-        /// Number of stages reduced, from the next-to-last towards the
-        /// seed (`1..=k` for a chain of `k` joins; `k` reduces the seed
-        /// too — the classic full right-to-left pass).
-        reduce: usize,
-    },
-}
-
-impl JoinOrder {
-    /// Human-readable label (`forward` / `backward(r)`).
-    pub fn label(&self) -> String {
-        match self {
-            JoinOrder::Forward => "forward".into(),
-            JoinOrder::BackwardThenForward { reduce } => format!("backward({reduce})"),
-        }
-    }
-}
-
-/// Join-order selection policy: let the planner pick, or force one
-/// order (benches compare the fixed orders against the planner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinOrderPolicy {
-    /// Cost-based choice over the enumerated orders.
-    #[default]
-    Planned,
-    /// Always the legacy forward order.
-    ForceForward,
-    /// Always the full backward reduction (`reduce = k`).
-    ForceBackward,
-}
-
-impl JoinOrderPolicy {
-    /// Stable name (`planned` / `forward` / `backward`).
-    pub fn name(self) -> &'static str {
-        match self {
-            JoinOrderPolicy::Planned => "planned",
-            JoinOrderPolicy::ForceForward => "forward",
-            JoinOrderPolicy::ForceBackward => "backward",
-        }
-    }
-
-    /// Parses [`JoinOrderPolicy::name`] output.
-    pub fn parse(s: &str) -> Option<JoinOrderPolicy> {
-        match s {
-            "planned" => Some(JoinOrderPolicy::Planned),
-            "forward" => Some(JoinOrderPolicy::ForceForward),
-            "backward" => Some(JoinOrderPolicy::ForceBackward),
-            _ => None,
-        }
-    }
-}
+/// The order label every path plan reports; also the first bytes its
+/// digest folds, so wire `plan_digest` values stay comparable across
+/// builds.
+const FORWARD: &str = "forward";
 
 /// One operator's predicted-vs-actual row in a [`PlanReport`].
 #[derive(Debug, Clone, Copy)]
@@ -120,11 +57,12 @@ pub struct OpForecast {
 /// planner and folded back into the workload monitor.
 #[derive(Debug, Clone, Default)]
 pub struct PlanReport {
-    /// Stable digest of the chosen plan shape (order, stage sizes,
+    /// Stable digest of the plan shape (stage count and sizes,
     /// kernels) — the net tier carries this so tail latency can be
     /// attributed to planning choices.
     pub digest: u64,
-    /// Human-readable order label (`forward`, `backward(2)`, …).
+    /// Order label: `forward` for path plans, the strategy name for
+    /// the navigation processors' single-strategy forecasts.
     pub order: String,
     /// Per-operator predicted and actual costs (active rows only).
     pub forecasts: Vec<OpForecast>,
@@ -302,25 +240,6 @@ impl Forecast {
     }
 }
 
-/// Mirror of the adaptive [`KernelPolicy::choose`] rule on statistics
-/// alone (no extent touched, no block encode forced).
-fn predict_kernel(ends: u64, pairs: u64, blocks: u64) -> Kernel {
-    if pairs == 0 || ends == 0 {
-        return Kernel::Merge;
-    }
-    let est_merge = pairs + ends;
-    let gap_log = (64 - (pairs / ends).max(1).leading_zeros()) as u64;
-    let est_search = ends * (2 * gap_log + 4);
-    if est_merge <= est_search {
-        return Kernel::Merge;
-    }
-    if blocks > 1 && ends >= blocks {
-        Kernel::BlockSkip
-    } else {
-        Kernel::Gallop
-    }
-}
-
 /// A typed, executable plan for one QTYPE1/3 segment chain.
 #[derive(Debug, Clone)]
 pub struct PathPlan {
@@ -328,23 +247,21 @@ pub struct PathPlan {
     pub stages: Vec<Vec<XNodeId>>,
     /// H_APEX lookups spent segmenting; charged at execution.
     pub hash_lookups: u64,
-    /// The chosen order.
-    pub order: JoinOrder,
     /// True when some stage has exactly zero pairs (or the path's first
     /// label is unknown): the answer is empty and execution is free.
     pub static_empty: bool,
     /// Stable digest of the plan shape.
     pub digest: u64,
-    /// Predicted total (work + pages) of the chosen order.
+    /// Predicted total (work + pages).
     pub predicted_total: u64,
     /// Predicted kernel name per join boundary (`stages.len() - 1`
-    /// entries; reduced boundaries show `"reverse"`). For `explain`.
+    /// entries; none when statically empty). `explain` renders these.
     pub kernels: Vec<&'static str>,
     /// Per-op predicted `(work, pages)`.
     predicted: Vec<(OpKind, u64, u64)>,
 }
 
-/// The cost-based planner: borrows the index, an optional statistics
+/// The planner: borrows the index, an optional statistics
 /// snapshot (falling back to the live cheap accessors per extent), the
 /// kernel policy in force, and the generation tag that scopes buffer
 /// identities.
@@ -421,12 +338,7 @@ impl<'a> Planner<'a> {
         frontier_nb: Option<(NodeId, NodeId)>,
         st: &StageEst,
     ) -> (Kernel, u64, u64, u64) {
-        let kernel = match self.policy {
-            KernelPolicy::Merge => Kernel::Merge,
-            KernelPolicy::Gallop => Kernel::Gallop,
-            KernelPolicy::BlockSkip => Kernel::BlockSkip,
-            KernelPolicy::Adaptive => predict_kernel(frontier_ends, st.pairs, st.blocks),
-        };
+        let kernel = self.policy.pick(frontier_ends, st.pairs, st.blocks);
         let matched = est_matched(frontier_pairs, frontier_nb, st);
         let n = frontier_ends.max(1);
         let m = st.pairs;
@@ -459,12 +371,7 @@ impl<'a> Planner<'a> {
         let mut kernels = Vec::new();
         for st in &ests[1..] {
             let (kernel, work, pages, matched) = self.predict_semijoin(fp, fe, fnb, st);
-            let kind = match kernel {
-                Kernel::Merge => OpKind::SemijoinMerge,
-                Kernel::Gallop => OpKind::SemijoinGallop,
-                Kernel::BlockSkip => OpKind::SemijoinSkip,
-            };
-            f.add(kind, work, pages);
+            f.add(kernel.op_kind(), work, pages);
             kernels.push(kernel.name());
             fp = matched;
             fe = matched.min(st.ends);
@@ -473,83 +380,9 @@ impl<'a> Planner<'a> {
         (f, kernels)
     }
 
-    /// Predicts the backward order with `reduce = r` over `ests`.
-    fn predict_backward(&self, ests: &[StageEst], r: usize) -> (Forecast, Vec<&'static str>) {
-        let k = ests.len() - 1;
-        let lo = k - r;
-        let mut f = Forecast::default();
-        // Gathering the last stage's distinct parents is a full scan.
-        f.add(OpKind::ExtentScan, ests[k].pairs, ests[k].blocks);
-        let mut parents = ests[k].pairs;
-        let mut pb = ests[k].parent_bounds;
-        // Reduced cardinality per stage (index = stage).
-        let mut red = vec![0u64; k.max(1)];
-        for i in (lo..k).rev() {
-            let m = ests[i].pairs;
-            let probe = (64 - parents.max(1).leading_zeros()) as u64 + 1;
-            let frac = overlap_frac(ests[i].node_bounds, pb);
-            let kept = if parents == 0 {
-                0
-            } else {
-                ((m as f64 * frac).ceil() as u64).min(m)
-            };
-            f.add(
-                OpKind::SemijoinReverse,
-                m * probe + m + kept,
-                ests[i].blocks,
-            );
-            red[i] = kept;
-            parents = kept;
-            pb = ests[i].parent_bounds;
-        }
-        // Forward pass over the (partly reduced) chain.
-        let (mut fp, mut fe, mut fnb);
-        if lo == 0 {
-            fp = red[0];
-            fe = red[0].min(ests[0].ends);
-            fnb = ests[0].node_bounds;
-        } else {
-            f.add(OpKind::ExtentUnion, ests[0].pairs, ests[0].blocks);
-            fp = ests[0].pairs;
-            fe = ests[0].ends.min(ests[0].pairs);
-            fnb = ests[0].node_bounds;
-        }
-        let mut kernels = Vec::new();
-        for (i, st) in ests.iter().enumerate().skip(1) {
-            if i >= lo && i < k {
-                // In-memory reduced stage: merge or gallop, no pages.
-                let m = red[i];
-                let n = fe.max(1);
-                let gap_log = (64 - (m / n).max(1).leading_zeros()) as u64;
-                let (kind, work) = if m + n <= n * (2 * gap_log + 4) {
-                    (OpKind::SemijoinMerge, m + n)
-                } else {
-                    (OpKind::SemijoinGallop, n * (2 * gap_log + 4))
-                };
-                let matched = est_matched(fp, fnb, st).min(m);
-                f.add(kind, work + matched, 0);
-                kernels.push("reverse");
-                fp = matched;
-                fe = matched.min(st.ends);
-            } else {
-                let (kernel, work, pages, matched) = self.predict_semijoin(fp, fe, fnb, st);
-                let kind = match kernel {
-                    Kernel::Merge => OpKind::SemijoinMerge,
-                    Kernel::Gallop => OpKind::SemijoinGallop,
-                    Kernel::BlockSkip => OpKind::SemijoinSkip,
-                };
-                f.add(kind, work, pages);
-                kernels.push(kernel.name());
-                fp = matched;
-                fe = matched.min(st.ends);
-            }
-            fnb = if fp > 0 { st.node_bounds } else { None };
-        }
-        (f, kernels)
-    }
-
-    /// Plans `labels` (a QTYPE1/3 chain) under `policy`.
-    pub fn plan_path(&self, labels: &[LabelId], policy: JoinOrderPolicy) -> PathPlan {
+    /// Plans `labels` (a QTYPE1/3 chain): §6.1 segmentation, the
+    /// static-empty check, and the forward forecast.
+    pub fn plan_path(&self, labels: &[LabelId]) -> PathPlan {
         let n = labels.len();
         let mut segments: Vec<Vec<XNodeId>> = Vec::new();
         let mut hash_lookups = 0u64;
@@ -571,7 +404,6 @@ impl<'a> Planner<'a> {
             PathPlan {
                 stages,
                 hash_lookups,
-                order: JoinOrder::Forward,
                 static_empty: true,
                 digest,
                 predicted_total: hash_lookups,
@@ -590,74 +422,12 @@ impl<'a> Planner<'a> {
             // empty before any page is faulted.
             return empty_plan(segments, hash_lookups);
         }
-        let k = ests.len() - 1;
-        // Candidate reductions: 0 = forward; r = backward over the last
-        // r boundaries. Short chains enumerate exhaustively; longer ones
-        // keep forward, the full reduction, and the reduction reaching
-        // the smallest stage (greedy smallest-intermediate).
-        let mut cands: Vec<usize> = vec![0];
-        if k >= 1 {
-            match policy {
-                JoinOrderPolicy::ForceForward => {}
-                JoinOrderPolicy::ForceBackward => cands = vec![k],
-                JoinOrderPolicy::Planned => {
-                    if k <= 6 {
-                        cands.extend(1..=k);
-                    } else {
-                        let argmin = ests
-                            .iter()
-                            .enumerate()
-                            .skip(1)
-                            .min_by_key(|(_, e)| e.pairs)
-                            .map(|(i, _)| i)
-                            .unwrap_or(k);
-                        for r in [1, k, k - argmin] {
-                            if r >= 1 && !cands.contains(&r) {
-                                cands.push(r);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let predict = |r: usize| {
-            if r == 0 {
-                self.predict_forward(&ests)
-            } else {
-                self.predict_backward(&ests, r)
-            }
-        };
-        // `cands` always holds at least one entry; seed the incumbent
-        // with it rather than threading an Option through the sweep.
-        let r0 = cands.first().copied().unwrap_or(0);
-        let (f0, k0) = predict(r0);
-        let mut best = (r0, f0, k0);
-        for &r in cands.iter().skip(1) {
-            let (f, kernels) = predict(r);
-            let total = f.total();
-            let bt = best.1.total();
-            // A backward order must beat forward by a real margin:
-            // near-ties go to the legacy order.
-            let better = if best.0 == 0 {
-                total < bt.saturating_mul(49) / 50
-            } else {
-                total < bt
-            };
-            if better {
-                best = (r, f, kernels);
-            }
-        }
-        let (r, f, kernels) = best;
-        let order = if r == 0 {
-            JoinOrder::Forward
-        } else {
-            JoinOrder::BackwardThenForward { reduce: r }
-        };
+        let (f, kernels) = self.predict_forward(&ests);
         let mut predicted = f.rows.clone();
         predicted.push((OpKind::IndexNav, hash_lookups, 0));
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        fnv(&mut digest, order.label().as_bytes());
-        fnv(&mut digest, &(k as u64).to_le_bytes());
+        fnv(&mut digest, FORWARD.as_bytes());
+        fnv(&mut digest, &(ests.len() as u64 - 1).to_le_bytes());
         for e in &ests {
             fnv(&mut digest, &e.pairs.to_le_bytes());
         }
@@ -667,7 +437,6 @@ impl<'a> Planner<'a> {
         PathPlan {
             stages: segments,
             hash_lookups,
-            order,
             static_empty: false,
             digest,
             predicted_total: f.total() + hash_lookups,
@@ -688,14 +457,11 @@ impl<'a> Planner<'a> {
         let edges = if plan.static_empty {
             EdgeSet::new()
         } else {
-            match plan.order {
-                JoinOrder::Forward => self.run_forward(plan, ctx),
-                JoinOrder::BackwardThenForward { reduce } => self.run_backward(plan, reduce, ctx),
-            }
+            self.run_forward(plan, ctx)
         };
         let report = build_report(
             plan.digest,
-            plan.order.label(),
+            FORWARD,
             &plan.predicted,
             &before,
             &ctx.cost.ops,
@@ -703,8 +469,7 @@ impl<'a> Planner<'a> {
         (edges, report)
     }
 
-    /// Forward order: delegates to [`MultiwayJoin`], so the execution is
-    /// identical to the legacy pipeline.
+    /// Seed union, then the forward semijoin chain ([`MultiwayJoin`]).
     fn run_forward(&self, plan: &PathPlan, ctx: &mut ExecContext<'_>) -> EdgeSet {
         let mut it = plan.stages.iter();
         let Some(seed) = it.next() else {
@@ -718,134 +483,6 @@ impl<'a> Planner<'a> {
             space: Space::ApexExtent,
         }
         .run(ctx)
-    }
-
-    /// One attributed reverse semijoin of a stored extent against the
-    /// sorted, distinct `parents` (every block is faulted — reverse
-    /// reduction is a scan-side pass).
-    fn reverse_step(
-        &self,
-        id: u64,
-        set: &EdgeSet,
-        parents: &[NodeId],
-        ctx: &mut ExecContext<'_>,
-    ) -> EdgeSet {
-        ctx.attributed(OpKind::SemijoinReverse, |cost, buf, scratch| {
-            let report = reverse_semijoin_into(set, parents, &mut scratch.semi);
-            let bx = set.blocks();
-            for &kb in &scratch.semi.blocks {
-                cost.pages_read += buf.touch(
-                    exec::block_oid(Space::ApexExtent, id, kb),
-                    bx.block_bytes(kb as usize),
-                );
-            }
-            cost.extent_pairs += report.pairs_read as u64;
-            cost.join_work += report.work as u64;
-            cost.join_output += scratch.semi.out.len() as u64;
-            EdgeSet::from_sorted(scratch.semi.out.clone())
-        })
-    }
-
-    /// Semijoin of the running frontier against an in-memory reduced
-    /// stage: merge or gallop on actual sizes, zero pages (reduced
-    /// stages are derived sets, not storage — crucially, no block
-    /// encode is ever forced on them).
-    fn memory_join(&self, ctx: &mut ExecContext<'_>, cur: &EdgeSet, stage: &EdgeSet) -> EdgeSet {
-        let ends = cur.end_nodes();
-        let n = ends.len().max(1);
-        let m = stage.len();
-        let gap_log = (usize::BITS - (m / n).max(1).leading_zeros()) as usize;
-        if m + n <= n * (2 * gap_log + 4) {
-            ctx.attributed(OpKind::SemijoinMerge, |cost, _, _| {
-                let (hit, work) = stage.semijoin_ends(ends.into());
-                cost.join_work += work as u64;
-                cost.join_output += hit.len() as u64;
-                hit
-            })
-        } else {
-            ctx.attributed(OpKind::SemijoinGallop, |cost, _, _| {
-                let (hit, probes) = stage.probe_by_parents(ends.into());
-                cost.join_work += probes as u64;
-                cost.join_output += hit.len() as u64;
-                hit
-            })
-        }
-    }
-
-    /// Backward reduction of the last `r` boundaries, then the forward
-    /// pass over the mixed stored/reduced chain.
-    fn run_backward(&self, plan: &PathPlan, r: usize, ctx: &mut ExecContext<'_>) -> EdgeSet {
-        let k = plan.stages.len() - 1;
-        debug_assert!(r >= 1 && r <= k);
-        let lo = k - r;
-        // Distinct parents of the last stage (a full scan of it).
-        let mut parents: Vec<NodeId> = Vec::new();
-        for &x in &plan.stages[k] {
-            let (id, set) = self.source(x);
-            ExtentScan::pairs(Space::ApexExtent, id, set).run(ctx);
-            parents.extend(set.iter().map(|p| p.parent));
-        }
-        parents.sort_unstable();
-        parents.dedup();
-        if parents.is_empty() {
-            return EdgeSet::new();
-        }
-        // Reduce stages k-1 .. lo.
-        let mut reduced: Vec<EdgeSet> = vec![EdgeSet::new(); k];
-        let mut scratch = Vec::new();
-        for i in (lo..k).rev() {
-            if !ctx.checkpoint() {
-                return EdgeSet::new();
-            }
-            let mut stage_red = EdgeSet::new();
-            for &x in &plan.stages[i] {
-                let (id, set) = self.source(x);
-                let hit = self.reverse_step(id, set, &parents, ctx);
-                stage_red.union_in_place(&hit, &mut scratch);
-            }
-            if stage_red.is_empty() {
-                // Nothing upstream can extend into the reduced suffix:
-                // the answer is empty, skip the rest (including the
-                // seed union the forward order would have paid).
-                return EdgeSet::new();
-            }
-            parents.clear();
-            parents.extend(stage_red.iter().map(|p| p.parent));
-            parents.sort_unstable();
-            parents.dedup();
-            reduced[i] = stage_red;
-        }
-        // Forward pass.
-        ctx.cost.ops.record(OpKind::MultiwayJoin, true, [0; 8]);
-        let mut cur: EdgeSet = if lo == 0 {
-            std::mem::take(&mut reduced[0])
-        } else {
-            ExtentUnion {
-                sources: plan.stages[0].iter().map(|&x| self.source(x)).collect(),
-                space: Space::ApexExtent,
-            }
-            .run(ctx)
-        };
-        // `i` indexes the parallel `reduced` / `plan.stages` slices.
-        #[allow(clippy::needless_range_loop)]
-        for i in 1..=k {
-            if cur.is_empty() || !ctx.checkpoint() {
-                break;
-            }
-            if i >= lo && i < k {
-                cur = self.memory_join(ctx, &cur, &reduced[i]);
-            } else {
-                let mut next = EdgeSet::new();
-                for &x in &plan.stages[i] {
-                    let (id, extent) = self.source(x);
-                    let hit =
-                        exec::semijoin(ctx, cur.end_nodes().into(), Space::ApexExtent, id, extent);
-                    next.union_in_place(&hit, &mut scratch);
-                }
-                cur = next;
-            }
-        }
-        cur
     }
 
     /// Forecast for a QTYPE2 dataflow evaluation: the seed extent scans
@@ -891,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_and_backward_orders_agree() {
+    fn forward_plans_agree_with_their_reports() {
         let g = moviedb();
         let idx = setup(&g, &[]);
         let stats = PlanStats::assemble(&idx);
@@ -903,53 +540,23 @@ mod tests {
             "actor.@movie.movie.title",
             "director.movie.@director.director.name",
         ] {
-            let ls = labels(&g, p);
-            let mut want = None;
-            for policy in [
-                JoinOrderPolicy::Planned,
-                JoinOrderPolicy::ForceForward,
-                JoinOrderPolicy::ForceBackward,
-            ] {
-                let plan = planner.plan_path(&ls, policy);
-                let buf = BufferHandle::unbounded();
-                let mut ctx = ExecContext::new(&buf);
-                let (out, report) = planner.execute_path(&plan, &mut ctx);
-                match &want {
-                    None => want = Some(out),
-                    Some(w) => assert_eq!(&out, w, "{p} under {}", policy.name()),
-                }
-                // Every scalar the execution moved is in the report.
-                let cost = ctx.finish();
-                let attributed: u64 = report
-                    .forecasts
-                    .iter()
-                    .map(|f| f.actual_work + f.actual_pages)
-                    .sum();
-                assert_eq!(attributed, cost.total(), "{p} under {}", policy.name());
-            }
+            let plan = planner.plan_path(&labels(&g, p));
+            assert_eq!(plan.kernels.len(), plan.stages.len() - 1, "{p}");
+            let buf = BufferHandle::unbounded();
+            let mut ctx = ExecContext::new(&buf);
+            let (out, report) = planner.execute_path(&plan, &mut ctx);
+            assert!(!out.is_empty(), "{p}");
+            assert_eq!(report.order, "forward");
+            assert_eq!(report.digest, plan.digest);
+            // Every scalar the execution moved is in the report.
+            let cost = ctx.finish();
+            let attributed: u64 = report
+                .forecasts
+                .iter()
+                .map(|f| f.actual_work + f.actual_pages)
+                .sum();
+            assert_eq!(attributed, cost.total(), "{p}");
         }
-    }
-
-    #[test]
-    fn backward_reduction_prunes_with_reverse_semijoins() {
-        let g = moviedb();
-        let idx = setup(&g, &[]);
-        let planner = Planner::new(&idx, None, KernelPolicy::Adaptive, 0);
-        let ls = labels(&g, "director.movie.title");
-        let plan = planner.plan_path(&ls, JoinOrderPolicy::ForceBackward);
-        assert!(matches!(
-            plan.order,
-            JoinOrder::BackwardThenForward { reduce: 2 }
-        ));
-        let buf = BufferHandle::unbounded();
-        let mut ctx = ExecContext::new(&buf);
-        let (out, report) = planner.execute_path(&plan, &mut ctx);
-        assert!(!out.is_empty());
-        assert!(report
-            .forecasts
-            .iter()
-            .any(|f| f.kind == OpKind::SemijoinReverse && f.actual_work > 0));
-        assert_eq!(report.order, "backward(2)");
     }
 
     #[test]
@@ -963,7 +570,7 @@ mod tests {
         // case instead: a stage whose extents are all empty cannot occur
         // in moviedb, so check the unknown-label path (no exact prefix).
         let ls = labels(&g, "title.actor");
-        let plan = planner.plan_path(&ls, JoinOrderPolicy::Planned);
+        let plan = planner.plan_path(&ls);
         let buf = BufferHandle::unbounded();
         let mut ctx = ExecContext::new(&buf);
         let (out, report) = planner.execute_path(&plan, &mut ctx);
@@ -975,16 +582,19 @@ mod tests {
     }
 
     #[test]
-    fn digest_is_stable_and_order_sensitive() {
+    fn digest_is_stable() {
         let g = moviedb();
         let idx = setup(&g, &[]);
         let planner = Planner::new(&idx, None, KernelPolicy::Adaptive, 0);
         let ls = labels(&g, "director.movie.title");
-        let a = planner.plan_path(&ls, JoinOrderPolicy::ForceForward);
-        let b = planner.plan_path(&ls, JoinOrderPolicy::ForceForward);
-        let c = planner.plan_path(&ls, JoinOrderPolicy::ForceBackward);
+        let a = planner.plan_path(&ls);
+        let b = planner.plan_path(&ls);
         assert_eq!(a.digest, b.digest);
-        assert_ne!(a.digest, c.digest);
+        assert_eq!(a.predicted_total, b.predicted_total);
+        assert_ne!(
+            a.digest,
+            planner.plan_path(&labels(&g, "movie.title")).digest
+        );
     }
 
     #[test]
@@ -995,7 +605,7 @@ mod tests {
         let idx = setup(&g, &["actor.name"]);
         let planner = Planner::new(&idx, None, KernelPolicy::Adaptive, 0);
         let ls = labels(&g, "director.movie.title");
-        let plan = planner.plan_path(&ls, JoinOrderPolicy::ForceForward);
+        let plan = planner.plan_path(&ls);
         let buf = BufferHandle::unbounded();
         let mut ctx = ExecContext::new(&buf);
         let (out, _) = planner.execute_path(&plan, &mut ctx);

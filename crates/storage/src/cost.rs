@@ -33,9 +33,10 @@ pub enum OpKind {
     IndexNav,
     /// Patricia-trie key search / traversal (Index Fabric).
     TrieSearch,
-    /// Right-to-left semijoin reduction: keeps the pairs of a stage
-    /// whose *end node* parents some pair of the already-reduced stage
-    /// to its right (planner-chosen backward pass).
+    /// Right-to-left semijoin reduction. No operator records it, since
+    /// the planner evaluates forward only; the slot stays because the
+    /// benchmark's per-layer ladder (`perfbench/src/ladder.rs`) reports
+    /// its call count as `kernels.reverse_calls_per_q`.
     SemijoinReverse,
 }
 

@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use xmlgraph::{NodeId, NULL_NODE};
 
 use crate::block::BlockExtent;
-use crate::succinct::{EndIndex, Ends, SuccinctExtent};
+use crate::succinct::{EndIndex, SuccinctExtent};
 
 /// One element of an extent: the incoming edge `<parent, node>` of a node
 /// reachable by some label path. The root's pair is `<NULL, root>`.
@@ -306,7 +306,7 @@ impl EdgeSet {
     /// not a second materialized `Vec`. Computed once and cached;
     /// mutation invalidates the cache. Iterate with
     /// [`EndIndex::iter`]/[`EndIndex::cursor`], or pass straight to the
-    /// kernels as [`Ends`].
+    /// kernels as [`Ends`](crate::succinct::Ends).
     pub fn end_nodes(&self) -> &EndIndex {
         self.ends.get_or_init(|| {
             let mut v: Vec<NodeId> = self.pairs.iter().map(|p| p.node).collect();
@@ -330,99 +330,6 @@ impl EdgeSet {
     /// the page model charges.
     pub fn blocks(&self) -> &BlockExtent {
         self.succinct().image()
-    }
-
-    /// The join kernel of QTYPE1 evaluation: keeps the pairs of `next`
-    /// whose `parent` is an end node of `self` — i.e. extends every data
-    /// path ending in `self` by one edge drawn from `next`.
-    ///
-    /// Both inputs are sorted by `(parent, node)`, and `end_nodes` of
-    /// `self` is sorted (and cached — this used to rebuild the end-node
-    /// vector on every call), so this is a merge. Returns the number of
-    /// pair comparisons as join work for cost accounting.
-    pub fn semijoin_next(&self, next: &EdgeSet) -> (EdgeSet, usize) {
-        let mut cur = self.end_nodes().cursor();
-        let mut out = Vec::new();
-        let mut work = 0usize;
-        for p in &next.pairs {
-            work += 1;
-            // Advance the end cursor while it trails p.parent (both sorted).
-            while let Some(e) = cur.peek() {
-                if e < p.parent {
-                    cur.advance();
-                } else {
-                    break;
-                }
-            }
-            if cur.peek() == Some(p.parent) {
-                out.push(*p);
-            }
-        }
-        (EdgeSet::from_sorted(out), work)
-    }
-
-    /// Merge semijoin: pairs of `self` whose `parent` is in `ends`
-    /// (sorted, distinct — slice or succinct [`Ends`] form) via a
-    /// linear merge — optimal when `ends` is of the same order as the
-    /// extent. Returns matches and comparisons.
-    pub fn semijoin_ends(&self, ends: Ends<'_>) -> (EdgeSet, usize) {
-        let mut cur = ends.cursor();
-        let mut out = Vec::new();
-        let mut work = 0usize;
-        for p in &self.pairs {
-            work += 1;
-            while let Some(e) = cur.peek() {
-                if e < p.parent {
-                    cur.advance();
-                } else {
-                    break;
-                }
-            }
-            match cur.peek() {
-                None => break,
-                Some(e) if e == p.parent => out.push(*p),
-                Some(_) => {}
-            }
-        }
-        (EdgeSet::from_sorted(out), work)
-    }
-
-    /// Indexed semijoin: pairs of `self` whose `parent` is in `ends`
-    /// (sorted, distinct — slice or succinct [`Ends`] form). Because
-    /// extents are stored sorted by `(parent, node)`, each end is
-    /// located by a galloping search from the previous match — the
-    /// clustered-index access path a real extent store provides (see
-    /// [`crate::kernels`] for the block-aware variants). Returns the
-    /// matched pairs and the number of probes performed.
-    pub fn probe_by_parents(&self, ends: Ends<'_>) -> (EdgeSet, usize) {
-        let mut out = Vec::new();
-        let mut probes = 0usize;
-        let mut lo = 0usize;
-        let mut cur = ends.cursor();
-        while let Some(e) = cur.peek() {
-            if lo >= self.pairs.len() {
-                break;
-            }
-            probes += 1;
-            // Gallop to the start of the `parent == e` range.
-            let mut step = 1usize;
-            let mut hi = lo;
-            while hi < self.pairs.len() && self.pairs[hi].parent < e {
-                lo = hi + 1;
-                hi += step;
-                step *= 2;
-            }
-            let hi = hi.min(self.pairs.len());
-            let start = lo + self.pairs[lo..hi].partition_point(|p| p.parent < e);
-            let mut i = start;
-            while i < self.pairs.len() && self.pairs[i].parent == e {
-                out.push(self.pairs[i]);
-                i += 1;
-            }
-            lo = i;
-            cur.advance();
-        }
-        (EdgeSet::from_sorted(out), probes)
     }
 
     /// Iterates over pairs.
@@ -512,33 +419,6 @@ mod tests {
         assert!(s.insert(EdgePair::new(NodeId(1), NodeId(2))));
         assert!(!s.insert(EdgePair::new(NodeId(5), NodeId(6))));
         assert_eq!(s.pairs()[0].parent, NodeId(1));
-    }
-
-    #[test]
-    fn semijoin_follows_paths() {
-        // a: edges ending at nodes 2 and 4; next: edges from 2 and from 9.
-        let a = EdgeSet::from_raw(&[(1, 2), (3, 4)]);
-        let next = EdgeSet::from_raw(&[(2, 7), (2, 8), (9, 10), (4, 11)]);
-        let (j, work) = a.semijoin_next(&next);
-        assert_eq!(j, EdgeSet::from_raw(&[(2, 7), (2, 8), (4, 11)]));
-        assert_eq!(work, 4);
-    }
-
-    #[test]
-    fn probe_by_parents_matches_scan_semijoin() {
-        let a = EdgeSet::from_raw(&[(1, 2), (3, 4), (9, 9)]);
-        let next = EdgeSet::from_raw(&[(2, 7), (2, 8), (9, 10), (4, 11), (5, 5)]);
-        let ends = a.end_nodes();
-        let (probed, probes) = next.probe_by_parents(ends.into());
-        let (scanned, _) = a.semijoin_next(&next);
-        assert_eq!(probed, scanned);
-        assert_eq!(probes, 3);
-        // The slice form of the same ends agrees with the packed form.
-        let slice = ends.to_vec();
-        assert_eq!(next.probe_by_parents((&slice).into()).0, probed);
-        // Empty ends and empty extent.
-        assert!(next.probe_by_parents([].as_slice().into()).0.is_empty());
-        assert!(EdgeSet::new().probe_by_parents(ends.into()).0.is_empty());
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   sparse but numerous enough to amortize the header walk.
 //!
 //! [`KernelPolicy::Adaptive`] picks per invocation from the size ratio
-//! of the two sides (see [`KernelPolicy::choose`]); the forced variants
+//! of the two sides (see [`KernelPolicy::pick`], the one rule the
+//! executor and the planner's forecast share); the forced variants
 //! exist so tests and benches can sweep every kernel over the same
 //! plans. All kernels are pair-identical to a naive nested scan; they
 //! differ only in work, in which blocks they fault, and in how many
@@ -45,6 +46,7 @@
 use xmlgraph::NodeId;
 
 use crate::block::BlockExtent;
+use crate::cost::OpKind;
 use crate::edgeset::{EdgePair, EdgeSet};
 use crate::succinct::{EndCursor, Ends, SuccinctExtent};
 
@@ -66,6 +68,15 @@ impl Kernel {
             Kernel::Merge => "merge",
             Kernel::Gallop => "gallop",
             Kernel::BlockSkip => "block-skip",
+        }
+    }
+
+    /// The operator a semijoin run with this kernel attributes to.
+    pub fn op_kind(self) -> OpKind {
+        match self {
+            Kernel::Merge => OpKind::SemijoinMerge,
+            Kernel::Gallop => OpKind::SemijoinGallop,
+            Kernel::BlockSkip => OpKind::SemijoinSkip,
         }
     }
 }
@@ -109,34 +120,44 @@ impl KernelPolicy {
     }
 
     /// Resolves the kernel for one semijoin of `ends_len` end nodes
-    /// against `extent`.
-    ///
-    /// The rule compares work estimates: a merge inspects every pair
-    /// (`m + n`), a gallop pays about `2·log₂(gap) + 4` comparisons per
-    /// end over gaps of `m / n` pairs, and a block skip pays the same
-    /// within one-page blocks plus one header probe per block. The
-    /// cheapest estimate wins; `BlockSkip` is preferred to `Gallop`
-    /// only once the extent spans several blocks and the header walk
-    /// is amortized (`n ≥ blocks`), since only then does the skip
-    /// index pay for itself.
+    /// against `extent` — [`KernelPolicy::pick`] over the extent's
+    /// exact pair and block counts.
     pub fn choose(self, ends_len: usize, extent: &EdgeSet) -> Kernel {
+        self.pick(
+            ends_len as u64,
+            extent.len() as u64,
+            extent.blocks().num_blocks() as u64,
+        )
+    }
+
+    /// The one kernel-choice rule, on sizes alone: `ends` end nodes
+    /// semijoined against `pairs` extent pairs stored in `blocks`
+    /// blocks. The executor calls it through [`KernelPolicy::choose`]
+    /// with exact sizes; the planner calls it with its statistics, so
+    /// a forecast names the kernel execution would run on those sizes.
+    ///
+    /// The adaptive rule compares work estimates: a merge inspects
+    /// every pair (`m + n`), a gallop pays about `2·log₂(gap) + 4`
+    /// comparisons per end over gaps of `m / n` pairs, and a block skip
+    /// pays the same within one-page blocks plus one header probe per
+    /// block. The cheapest estimate wins; `BlockSkip` is preferred to
+    /// `Gallop` only once the extent spans several blocks and the
+    /// header walk is amortized (`n ≥ blocks`), since only then does
+    /// the skip index pay for itself.
+    pub fn pick(self, ends: u64, pairs: u64, blocks: u64) -> Kernel {
         match self {
             KernelPolicy::Merge => Kernel::Merge,
             KernelPolicy::Gallop => Kernel::Gallop,
             KernelPolicy::BlockSkip => Kernel::BlockSkip,
             KernelPolicy::Adaptive => {
-                let m = extent.len();
-                let n = ends_len;
+                let (m, n) = (pairs, ends);
                 if m == 0 || n == 0 {
                     return Kernel::Merge;
                 }
-                let est_merge = (m + n) as u64;
-                let gap_log = usize::BITS - (m / n).max(1).leading_zeros();
-                let est_search = n as u64 * (2 * gap_log as u64 + 4);
-                if est_merge <= est_search {
+                let gap_log = u64::from(u64::BITS - (m / n).max(1).leading_zeros());
+                if m + n <= n * (2 * gap_log + 4) {
                     return Kernel::Merge;
                 }
-                let blocks = extent.blocks().num_blocks();
                 if blocks > 1 && n >= blocks {
                     Kernel::BlockSkip
                 } else {
@@ -477,58 +498,6 @@ fn gallop_lower_bound(pairs: &[EdgePair], lo: usize, target: NodeId, work: &mut 
     base
 }
 
-/// Right-to-left reduction kernel: keeps the pairs of `extent` whose
-/// *end node* is one of the sorted, distinct `parents` — i.e. the pairs
-/// that can still be extended by some pair of the (already reduced)
-/// stage to their right. The planner's backward pass runs this from the
-/// last stage towards the seed before the forward pass (Yannakakis-style
-/// semijoin reduction); dropping a pair here is always safe because a
-/// pair whose node parents nothing downstream cannot contribute to the
-/// final frontier.
-///
-/// Pairs are stored sorted by `(parent, node)`, so node order is
-/// arbitrary: every pair pays one binary search into `parents`
-/// (`log₂ + 1` comparisons), and the whole extent — every block — is
-/// decoded through the window. Output keeps extent order, so it stays
-/// sorted and duplicate-free.
-pub fn reverse_semijoin_into(
-    extent: &EdgeSet,
-    parents: &[NodeId],
-    scratch: &mut SemijoinScratch,
-) -> KernelReport {
-    scratch.reset();
-    if extent.is_empty() {
-        return KernelReport::default();
-    }
-    let succ = extent.succinct();
-    let nb = succ.num_blocks();
-    scratch.blocks.extend(0..nb as u32);
-    let probe_cost = (usize::BITS - parents.len().leading_zeros()) as usize + 1;
-    let mut work = 0usize;
-    let mut decoded = 0usize;
-    for k in 0..nb {
-        let mut bc = succ.block_cursor(k);
-        loop {
-            let n = bc.fill(&mut scratch.window);
-            if n == 0 {
-                break;
-            }
-            decoded += n;
-            for p in &scratch.window {
-                work += probe_cost;
-                if parents.binary_search(&p.node).is_ok() {
-                    scratch.out.push(*p);
-                }
-            }
-        }
-    }
-    KernelReport {
-        work,
-        pairs_read: extent.len(),
-        decoded,
-    }
-}
-
 /// Full-decode baseline kernels over a materialized pair slice.
 ///
 /// These are the pre-succinct implementations, kept verbatim so the
@@ -831,34 +800,6 @@ mod tests {
             assert_eq!(KernelPolicy::parse(p.name()), Some(p));
         }
         assert_eq!(KernelPolicy::parse("nope"), None);
-    }
-
-    #[test]
-    fn reverse_kernel_keeps_extendable_pairs() {
-        let extent = EdgeSet::from_raw(&[(1, 2), (1, 3), (4, 5), (7, 8), (9, 1)]);
-        let mut scratch = SemijoinScratch::new();
-        // Pairs ending at 2, 5 or 42 survive.
-        let parents = [NodeId(2), NodeId(5), NodeId(42)];
-        let rep = reverse_semijoin_into(&extent, &parents, &mut scratch);
-        assert_eq!(
-            scratch.out,
-            vec![
-                EdgePair::new(NodeId(1), NodeId(2)),
-                EdgePair::new(NodeId(4), NodeId(5)),
-            ]
-        );
-        // Output keeps (parent, node) order.
-        assert!(scratch.out.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(rep.pairs_read, extent.len());
-        assert_eq!(rep.decoded, extent.len());
-        assert_eq!(scratch.blocks.len(), extent.blocks().num_blocks());
-        assert!(rep.work > 0);
-        // Empty parent set drops everything; empty extent is free.
-        reverse_semijoin_into(&extent, &[], &mut scratch);
-        assert!(scratch.out.is_empty());
-        let rep = reverse_semijoin_into(&EdgeSet::new(), &parents, &mut scratch);
-        assert_eq!(rep, KernelReport::default());
-        assert!(scratch.blocks.is_empty());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! reproduction a deterministic analogue:
 //!
 //! * [`edgeset::EdgeSet`] — the extent representation (sets of
-//!   `<parent, node>` edge pairs, Definition 7), with the merge/union/
-//!   semijoin kernels every query processor uses;
+//!   `<parent, node>` edge pairs, Definition 7), with the sorted
+//!   union/difference merges every query processor uses;
 //! * [`block::BlockExtent`] — the compressed storage image of an
 //!   extent: page-sized blocks of delta+varint encoded pairs under a
 //!   `(min_parent, max_parent, count)` skip index;

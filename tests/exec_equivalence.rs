@@ -11,11 +11,13 @@
 //! sweep below therefore also proves each kernel's succinct
 //! implementation equivalent to the naive oracle end to end.
 
+use apex::Apex;
 use apex_query::batch::{run_batch, run_batch_parallel, QueryProcessor};
+use apex_query::explain::{explain_apex, Plan};
 use apex_query::generator::GeneratorConfig;
 use apex_query::naive::NaiveProcessor;
-use apex_query::Query;
 use apex_query::{apex_qp::ApexProcessor, fabric_qp::FabricProcessor, guide_qp::GuideProcessor};
+use apex_query::{Planner, Query};
 use apex_storage::bufmgr::BufferHandle;
 use apex_storage::{Cost, KernelPolicy, OpKind};
 use apex_suite::{small, Fixture};
@@ -160,11 +162,7 @@ fn mixed_workload_on_ged() {
 /// The kernel policy must never change results: the same mixed workload
 /// through APEX under every fixed kernel and the adaptive default
 /// returns the naive oracle's nodes, with attribution still a partition
-/// — and identical logical join output across policies. The join order
-/// is pinned to forward so only the kernel varies: under the planned
-/// default a forced kernel policy shifts the planner's cost estimates
-/// and can legitimately flip the join order (order equivalence is
-/// `every_join_order_is_equivalent`'s concern).
+/// — and identical logical join output across policies.
 #[test]
 fn every_kernel_policy_is_equivalent() {
     let fx = Fixture::build(small::flix(), cfg(0xE5));
@@ -180,9 +178,7 @@ fn every_kernel_policy_is_equivalent() {
     let expect: Vec<Vec<xmlgraph::NodeId>> = mixed.iter().map(|q| naive.eval(q).nodes).collect();
     let mut join_output: Option<u64> = None;
     for policy in KernelPolicy::ALL {
-        let p = ApexProcessor::new(&fx.g, &apex, &fx.table)
-            .with_kernel_policy(policy)
-            .with_join_order(apex_query::JoinOrderPolicy::ForceForward);
+        let p = ApexProcessor::new(&fx.g, &apex, &fx.table).with_kernel_policy(policy);
         let mut total = Cost::new();
         for (qi, q) in mixed.iter().enumerate() {
             let out = p.eval(q);
@@ -204,63 +200,144 @@ fn every_kernel_policy_is_equivalent() {
     }
 }
 
-/// The cost-based planner's join order must never change results: the
-/// same mixed workload through APEX under the planned default and both
-/// forced orders returns the naive oracle's nodes, attribution stays a
-/// partition, and every evaluated query carries a plan report whose
-/// per-operator actuals are bounded by (and, for pure path queries,
-/// exactly partition) the query's total cost.
+/// The planner's one join order (seed union, then forward semijoins)
+/// must return the naive oracle's nodes on a mixed workload, attribution
+/// stays a partition, and every evaluated query carries a plan report
+/// whose per-operator actuals are bounded by (and, for pure path
+/// queries, exactly partition) the query's total cost.
 #[test]
 fn every_join_order_is_equivalent() {
-    use apex_query::JoinOrderPolicy;
     let fx = Fixture::build(small::ged(), cfg(0xE6));
     let naive = NaiveProcessor::new(&fx.g, &fx.table);
     let apex = fx.apex_at(0.01);
-    let mixed: Vec<&Query> = fx
+    let p = ApexProcessor::new(&fx.g, &apex, &fx.table);
+    for q in fx
         .queries
         .qtype1
         .iter()
         .chain(fx.queries.qtype2.iter())
         .chain(fx.queries.qtype3.iter())
-        .collect();
-    let expect: Vec<Vec<xmlgraph::NodeId>> = mixed.iter().map(|q| naive.eval(q).nodes).collect();
-    for order in [
-        JoinOrderPolicy::Planned,
-        JoinOrderPolicy::ForceForward,
-        JoinOrderPolicy::ForceBackward,
-    ] {
-        let p = ApexProcessor::new(&fx.g, &apex, &fx.table).with_join_order(order);
-        for (qi, q) in mixed.iter().enumerate() {
-            let out = p.eval(q);
+    {
+        let out = p.eval(q);
+        assert_eq!(out.nodes, naive.eval(q).nodes, "{}", q.render(&fx.g));
+        assert_partition(&out.cost, "planned");
+        let rep = out.plan.expect("apex reports a plan for every query");
+        let actual: u64 = rep
+            .forecasts
+            .iter()
+            .map(|f| f.actual_work + f.actual_pages)
+            .sum();
+        assert!(
+            actual <= out.cost.total(),
+            "plan actuals exceed the query cost on {}",
+            q.render(&fx.g)
+        );
+        if matches!(q, Query::PartialPath { .. }) {
+            assert_eq!(rep.order, "forward");
             assert_eq!(
-                out.nodes,
-                expect[qi],
-                "order {} differs on {}",
-                order.name(),
+                actual,
+                out.cost.total(),
+                "plan actuals must partition the cost of {}",
                 q.render(&fx.g)
             );
-            assert_partition(&out.cost, order.name());
-            let rep = out.plan.expect("apex reports a plan for every query");
-            let actual: u64 = rep
-                .forecasts
+        }
+    }
+}
+
+/// One small family's QTYPE1/3 queries and its APEX refined at minSup
+/// 0.01, 0.1 and 1.
+struct PlannedFamily {
+    name: &'static str,
+    queries: Vec<Query>,
+    indexes: Vec<Apex>,
+}
+
+fn planned_families() -> Vec<PlannedFamily> {
+    [
+        ("play", small::play()),
+        ("flix", small::flix()),
+        ("ged", small::ged()),
+    ]
+    .into_iter()
+    .map(|(name, g)| {
+        let fx = Fixture::build(g, cfg(0xE7));
+        PlannedFamily {
+            name,
+            queries: fx
+                .queries
+                .qtype1
                 .iter()
-                .map(|f| f.actual_work + f.actual_pages)
-                .sum();
-            assert!(
-                actual <= out.cost.total(),
-                "plan actuals exceed the query cost on {}",
-                q.render(&fx.g)
-            );
-            if matches!(q, Query::PartialPath { .. }) {
-                assert_eq!(
-                    actual,
-                    out.cost.total(),
-                    "order {}: plan actuals must partition the cost of {}",
-                    order.name(),
-                    q.render(&fx.g)
-                );
+                .chain(fx.queries.qtype3.iter())
+                .cloned()
+                .collect(),
+            indexes: [0.01, 0.1, 1.0].map(|ms| fx.apex_at(ms)).into(),
+        }
+    })
+    .collect()
+}
+
+/// `explain` renders the planner's own plan: its kernel column is
+/// exactly `Planner::plan_path(..).kernels` at every join boundary.
+#[test]
+fn explain_kernels_are_the_planners() {
+    let mut boundaries = 0;
+    for PlannedFamily {
+        name,
+        queries,
+        indexes,
+    } in planned_families()
+    {
+        for apex in &indexes {
+            let planner = Planner::new(apex, None, KernelPolicy::Adaptive, 0);
+            for q in &queries {
+                let plan = planner.plan_path(q.labels().expect("path query"));
+                let Plan::PathJoin { segments, .. } = explain_apex(apex, q) else {
+                    panic!("{name}: {q:?} must explain as a path join");
+                };
+                assert_eq!(segments.len(), plan.stages.len(), "{name}");
+                let shown: Vec<&str> = segments.iter().filter_map(|s| s.kernel).collect();
+                assert_eq!(shown, plan.kernels, "{name}: {q:?}");
+                boundaries += plan.kernels.len();
             }
         }
+    }
+    assert!(boundaries > 1_000, "only {boundaries} join boundaries");
+}
+
+/// Plan digests travel on the wire as `plan_digest`, so clients can
+/// compare them across builds: over a fixed query set, the digest and
+/// the predicted total of every plan must reproduce pinned values. A
+/// change to the cost model or the digest must update them on purpose.
+#[test]
+fn forward_plans_match_pinned_digests() {
+    let pinned = [
+        ("play", 480, 0xf083_8e7a_8536_439f_u64, 1_865_502),
+        ("flix", 480, 0x95ec_ee85_064e_97ab, 176_134),
+        ("ged", 480, 0xbce2_35c5_3646_ab2b, 78_150),
+    ];
+    for (fam, (name, want_plans, want_fold, want_predicted)) in
+        planned_families().into_iter().zip(pinned)
+    {
+        assert_eq!(fam.name, name);
+        let (mut plans, mut fold, mut predicted) = (0u64, 0xcbf2_9ce4_8422_2325_u64, 0u64);
+        for apex in &fam.indexes {
+            let planner = Planner::new(apex, None, KernelPolicy::Adaptive, 0);
+            for q in &fam.queries {
+                let plan = planner.plan_path(q.labels().expect("path query"));
+                plans += 1;
+                // FNV-1a over the digests' bytes, in query order.
+                for b in plan.digest.to_le_bytes() {
+                    fold ^= u64::from(b);
+                    fold = fold.wrapping_mul(0x100_0000_01b3);
+                }
+                predicted += plan.predicted_total;
+            }
+        }
+        assert_eq!(
+            (plans, fold, predicted),
+            (want_plans, want_fold, want_predicted),
+            "{name}"
+        );
     }
 }
 

@@ -264,10 +264,10 @@ proptest! {
     }
 }
 
-/// Algebraic laws of the extent edge-set kernels (the join machinery all
-/// query processors rely on).
+/// Algebraic laws of the extent edge-set operations (the set machinery
+/// all query processors rely on).
 mod edgeset_laws {
-    use apex_storage::{EdgePair, EdgeSet};
+    use apex_storage::EdgeSet;
     use proptest::prelude::*;
     use xmlgraph::NodeId;
 
@@ -307,27 +307,6 @@ mod edgeset_laws {
             let mut scratch = Vec::new();
             sa.union_in_place(&sb, &mut scratch);
             prop_assert_eq!(sa, expect);
-        }
-
-        #[test]
-        fn semijoin_variants_agree(a in pairs(40, 30), b in pairs(40, 30)) {
-            let (sa, sb) = (set(&a), set(&b));
-            let ends = sa.end_nodes();
-            let (scan, _) = sa.semijoin_next(&sb);
-            let (merge, _) = sb.semijoin_ends(ends.into());
-            let (probe, _) = sb.probe_by_parents(ends.into());
-            prop_assert_eq!(&scan, &merge);
-            prop_assert_eq!(&scan, &probe);
-            // …and through the plain-slice face of the `Ends` view.
-            let ends_v: Vec<NodeId> = ends.to_vec();
-            let (merge_s, _) = sb.semijoin_ends((&ends_v[..]).into());
-            prop_assert_eq!(&scan, &merge_s);
-            // Reference semantics: pairs of b whose parent is an end of a.
-            let expect: Vec<EdgePair> = sb
-                .iter()
-                .filter(|p| ends_v.binary_search(&p.parent).is_ok())
-                .collect();
-            prop_assert_eq!(scan.pairs().to_vec(), expect);
         }
 
         #[test]
@@ -436,8 +415,8 @@ mod exec_laws {
     }
 }
 
-/// Laws of the cost-based planner's feedback: on arbitrary graphs,
-/// workload refinements and path queries, every join order returns the
+/// Laws of the planner's feedback: on arbitrary graphs, workload
+/// refinements and path queries, the planned evaluation returns the
 /// oracle's nodes, and the executed plan's per-operator actuals
 /// reproduce the attributed cost breakdown exactly — work + pages over
 /// the report's rows is an exact partition of the query's total cost,
@@ -447,7 +426,7 @@ mod plan_laws {
     use apex::{Apex, Workload};
     use apex_query::batch::QueryProcessor;
     use apex_query::naive::NaiveProcessor;
-    use apex_query::{apex_qp::ApexProcessor, JoinOrderPolicy, Query};
+    use apex_query::{apex_qp::ApexProcessor, Query};
     use apex_storage::{DataTable, PageModel};
     use proptest::prelude::*;
 
@@ -469,42 +448,33 @@ mod plan_laws {
                 workload_paths.iter().filter_map(|p| to_label_path(&g, p)).collect(),
             );
             apex.refine(&g, &wl, min_sup);
-            for order in [
-                JoinOrderPolicy::Planned,
-                JoinOrderPolicy::ForceForward,
-                JoinOrderPolicy::ForceBackward,
-            ] {
-                let ap = ApexProcessor::new(&g, &apex, &table).with_join_order(order);
-                for qp in &query_paths {
-                    let Some(path) = to_label_path(&g, qp) else { continue };
-                    let q = Query::PartialPath { labels: path.0.clone() };
-                    let expect = naive.eval(&q).nodes;
-                    let out = ap.eval(&q);
-                    prop_assert_eq!(
-                        &out.nodes, &expect,
-                        "{} on {}", order.name(), q.render(&g)
-                    );
-                    let rep = out.plan.as_ref().expect("path queries always plan");
-                    // Each row's actuals are the operator's attributed
-                    // scalars: work = every non-page scalar, pages = the
-                    // page scalar.
-                    let mut act_work = 0u64;
-                    let mut act_pages = 0u64;
-                    for f in &rep.forecasts {
-                        let op = out.cost.ops.get(f.kind);
-                        let w: u64 = (0..8).filter(|&i| i != 5).map(|i| op.scalars[i]).sum();
-                        prop_assert_eq!(f.actual_work, w, "{} work", f.kind.name());
-                        prop_assert_eq!(f.actual_pages, op.scalars[5], "{} pages", f.kind.name());
-                        act_work += f.actual_work;
-                        act_pages += f.actual_pages;
-                    }
-                    // Summed over rows they are exactly the query total.
-                    prop_assert_eq!(
-                        act_work + act_pages,
-                        out.cost.total(),
-                        "partition under {} on {}", order.name(), q.render(&g)
-                    );
+            let ap = ApexProcessor::new(&g, &apex, &table);
+            for qp in &query_paths {
+                let Some(path) = to_label_path(&g, qp) else { continue };
+                let q = Query::PartialPath { labels: path.0.clone() };
+                let expect = naive.eval(&q).nodes;
+                let out = ap.eval(&q);
+                prop_assert_eq!(&out.nodes, &expect, "{}", q.render(&g));
+                let rep = out.plan.as_ref().expect("path queries always plan");
+                // Each row's actuals are the operator's attributed
+                // scalars: work = every non-page scalar, pages = the
+                // page scalar.
+                let mut act_work = 0u64;
+                let mut act_pages = 0u64;
+                for f in &rep.forecasts {
+                    let op = out.cost.ops.get(f.kind);
+                    let w: u64 = (0..8).filter(|&i| i != 5).map(|i| op.scalars[i]).sum();
+                    prop_assert_eq!(f.actual_work, w, "{} work", f.kind.name());
+                    prop_assert_eq!(f.actual_pages, op.scalars[5], "{} pages", f.kind.name());
+                    act_work += f.actual_work;
+                    act_pages += f.actual_pages;
                 }
+                // Summed over rows they are exactly the query total.
+                prop_assert_eq!(
+                    act_work + act_pages,
+                    out.cost.total(),
+                    "partition on {}", q.render(&g)
+                );
             }
         }
     }
